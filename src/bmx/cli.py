@@ -195,8 +195,7 @@ def _cmd_ex(args) -> int:
         if hit is not None:
             cert = hit.certificate
     if cert is None:
-        cert = ex_search(fam, args.n, time_limit=args.time_limit,
-                         threads=args.threads)
+        cert = ex_search(fam, args.n, time_limit=args.time_limit)
         if cat is not None and cert.certified:
             cat.put(cert)
     _emit(args, _cert_text(cert), {"kind": "turan", **cert.to_json_dict()})
@@ -358,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--cache-dir", default=None)
     _add_format(p)
     p.set_defaults(func=_cmd_ex)

@@ -105,17 +105,6 @@ class TuranCertificate:
         )
 
 
-def _points_of_mask(mask: int) -> list[int]:
-    pts = []
-    p = 1
-    while mask:
-        if mask & 1:
-            pts.append(p)
-        mask >>= 1
-        p += 1
-    return pts
-
-
 _EX_MAX_COPIES = 5_000_000
 
 
@@ -138,84 +127,195 @@ def _all_copies(family: Family, n: int) -> list[int]:
     return sorted(copies, key=lambda c: (c.bit_count(), c))
 
 
+def _incidence(copies: list[int], total: int) -> list[int]:
+    """``inc[i]``: the bitset of ids of the copies through point i + 1."""
+    nbytes = (len(copies) + 7) // 8
+    rows = [bytearray(nbytes) for _ in range(total)]
+    for cid, c in enumerate(copies):
+        byte, bit = cid >> 3, 1 << (cid & 7)
+        while c:
+            low = c & -c
+            rows[low.bit_length() - 1][byte] |= bit
+            c ^= low
+    return [int.from_bytes(row, "little") for row in rows]
+
+
+def _greedy_free(inc: list[int]) -> int:
+    """Add points in index order while no copy lies wholly inside.
+
+    A copy through point i lies inside the chosen points plus i exactly
+    when it meets no rejected point and no point after i.
+    """
+    later = [0] * (len(inc) + 1)
+    for i in range(len(inc) - 1, -1, -1):
+        later[i] = later[i + 1] | inc[i]
+    rejected = chosen = 0
+    for i, row in enumerate(inc):
+        if row & ~(rejected | later[i + 1]):
+            rejected |= row
+        else:
+            chosen |= 1 << i
+    return chosen
+
+
+def _packing(inc: list[int], copies: list[int], und: int, alive: int,
+             pairs: int, need: int) -> int:
+    """Greedy count, stopping at ``need``, of live copies whose undecided
+    parts are pairwise disjoint; each must lose its own undecided point.
+
+    Copies with two undecided points (``pairs``) are packed first, then
+    any live copy.  Within a pass the points are visited in index order
+    and a point's lowest free copy is taken, so the cost is a few int
+    operations per undecided point, not one per copy.
+    """
+    packed = 0
+    free = alive  # live copies disjoint from every packed part
+    used = 0
+    for pool in (pairs, alive):
+        pool &= free
+        rest = und & ~used
+        while pool and rest and packed < need:
+            low = rest & -rest
+            rest ^= low
+            cand = inc[low.bit_length() - 1] & pool
+            if cand:
+                packed += 1
+                part = copies[(cand & -cand).bit_length() - 1] & und
+                used |= part
+                rest &= ~part
+                while part:
+                    low = part & -part
+                    row = inc[low.bit_length() - 1]
+                    free &= ~row
+                    pool &= ~row
+                    part ^= low
+    return packed
+
+
 def ex_search(family: Family, n: int,
-              time_limit: float | None = None,
-              threads: int = 1) -> TuranCertificate:
+              time_limit: float | None = None) -> TuranCertificate:
     """Maximum size of an n-dimensional family-free matroid, with witness.
 
-    All forbidden copies are indexed up front as point-set bitsets, so a
-    search node only does subset tests.  Branching partitions the space:
-    for a copy with undecided points p_1 < ... < p_m, child i excludes
-    p_i and protects p_1..p_{i-1}, so no state is reachable twice.  A
-    copy whose points are all protected kills its node; a copy with one
-    undecided point forces an exclusion.  Pruning is on |allowed| against
-    the greedy-seeded incumbent.  ``threads`` is accepted for interface
-    compatibility; the search itself is sequential and deterministic.
+    The forbidden copies are indexed once (``_all_copies``), and the
+    search works on an incidence index: ``inc[i]`` is the bitset of copy
+    ids through point i + 1.  A node holds ``allowed`` (points not
+    excluded), ``kept`` (allowed points protected from exclusion) and
+    ``alive`` (the copies inside ``allowed``, as one int); excluding a
+    point p makes ``alive & ~inc[p]``.
+
+    At a node, one pass over the undecided points builds bit-sliced
+    counters ``ones``, ``twos``, ``threes`` over copy ids: the live
+    copies with at least one, two, three undecided points.  A live copy
+    with none lies inside ``kept`` and kills the node; a copy with
+    exactly one forces the exclusion of that point.  Once nothing is
+    forced, live copies whose undecided parts are pairwise disjoint are
+    packed greedily; each needs a distinct excluded point, so the node is
+    pruned when ``|allowed| - packing <= best``.  Branching takes a copy
+    with exactly two undecided points if there is one, else the first
+    live copy: for its undecided points p_1 < ... < p_m, child i
+    excludes p_i and protects p_1..p_{i-1}, so no state is reached
+    twice.  The incumbent is seeded greedily.
+
+    Symmetry.  The copy set is invariant under GL(n,2): a copy is the
+    image of a member under an injective linear map, and composing with
+    an invertible map gives another one.  So the image of a free set is
+    free, of the same size, and a free set larger than the incumbent may
+    be replaced by any of its images.  GL(n,2) is 2-transitive on the
+    nonzero vectors, so such a set may be assumed to contain e1 and then
+    e2 (it has at least one, then two points).  The pointwise stabiliser
+    of e1 and e2 has two orbits on the remaining points: {e1+e2} and the
+    points outside span(e1, e2).  So the root and the next node have one
+    child each (protect e1, then e2), and the third branching has two:
+    protect e1+e2, or exclude e1+e2 and protect e3.  Below that the
+    search is the plain one above.  Protecting a point turns the copies
+    through it into smaller ones, which is what makes the packing bound
+    bite: with e1 protected, the triangles through e1 pair up the other
+    points, so ex({PG(1,2)}, n) is certified at the second node.
+
+    ``nodes`` counts the search nodes that passed the size test.
     """
-    del threads
     if not 0 <= n <= EX_MAX_DIM:
         raise CapacityError(f"exact search limited to n <= {EX_MAX_DIM}")
     start = time.monotonic()
     deadline = start + time_limit if time_limit is not None else None
     total = (1 << n) - 1
-    all_mask = (1 << total) - 1 if total else 0
+    all_mask = (1 << total) - 1
     copies = _all_copies(family, n)
+    inc = _incidence(copies, total)
+    best_mask = _greedy_free(inc)
+    best = best_mask.bit_count()
     nodes = 0
     certified = True
-
-    # greedy incumbent: add points in index order while staying free
-    best_mask = 0
-    for p in range(1, total + 1):
-        cand = best_mask | (1 << (p - 1))
-        if all(c & ~cand for c in copies):
-            best_mask = cand
-    best = best_mask.bit_count()
-
-    def bnb(allowed: int, kept: int, alive: list[int]) -> None:
-        """`alive` holds exactly the copies still inside `allowed`."""
-        nonlocal best, best_mask, nodes, certified
-        if not certified:
-            return
+    stack = [(all_mask, 0, (1 << len(copies)) - 1)]  # (allowed, kept, alive)
+    while stack:
+        allowed, kept, alive = stack.pop()
+        size = allowed.bit_count()
+        if size <= best:
+            continue
+        if deadline is not None and time.monotonic() > deadline:
+            certified = False
+            break
+        nodes += 1
         while True:
-            if allowed.bit_count() <= best:
-                return
-            if deadline is not None and time.monotonic() > deadline:
-                certified = False
-                return
-            nodes += 1
-            # the live copy with fewest undecided points
-            branch = None
-            bsize = 0
-            for c in alive:
-                und = c & ~kept
-                if und == 0:
-                    return  # protected points already form a copy
-                u = und.bit_count()
-                if branch is None or u < bsize:
-                    branch, bsize = und, u
-                    if u == 1:
-                        break
-            if branch is None:
-                best = allowed.bit_count()
-                best_mask = allowed
-                return
-            if bsize == 1:
-                allowed &= ~branch  # forced: the only undecided point
-                alive = [c for c in alive if not c & branch]
-                continue
-            decided = 0
-            for p in _points_of_mask(branch):
-                bit = 1 << (p - 1)
-                bnb(allowed & ~bit, kept | decided,
-                    [c for c in alive if not c & bit])
-                decided |= bit
-            return
-
-    if copies and all_mask:
-        bnb(all_mask, 0, copies)
-    elif not copies:
-        best_mask = all_mask
-        best = total
+            und = allowed & ~kept
+            ones = twos = threes = 0
+            rest = und
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                x = inc[low.bit_length() - 1] & alive
+                threes |= twos & x
+                twos |= ones & x
+                ones |= x
+            single = ones & ~twos
+            if not single:
+                break
+            rest = und
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row = inc[low.bit_length() - 1]
+                if row & single:
+                    allowed ^= low
+                    alive &= ~row
+            size = allowed.bit_count()
+            if size <= best:
+                break
+        if size <= best or alive & ~ones:
+            continue  # bounded, or a copy lies inside kept
+        if not alive:
+            best, best_mask = size, allowed
+            continue
+        pairs = twos & ~threes
+        if size - _packing(inc, copies, und, alive, pairs,
+                           size - best) <= best:
+            continue
+        if allowed == all_mask and kept in (0, 1, 3) \
+                and best >= kept.bit_count():
+            # Only reached on the first three branchings, and valid only
+            # because the copy set is GL(n,2)-invariant (see the
+            # docstring): nothing is excluded, e1 (bit 0) and e2 (bit 1)
+            # may be protected, and a set better than ``best`` has more
+            # points than are protected, so the stabiliser of the
+            # protected points can move one of its other points to e1,
+            # e2, or e1+e2 (bit 2) or e3 (bit 3; n = 2 has no e3).
+            if kept != 3:
+                stack.append((allowed, kept << 1 | 1, alive))
+            else:
+                if total > 3:
+                    stack.append((allowed ^ 4, kept | 8, alive & ~inc[2]))
+                stack.append((allowed, kept | 4, alive))
+            continue
+        sel = pairs or alive
+        branch = copies[(sel & -sel).bit_length() - 1] & und
+        children = []
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            children.append((allowed ^ low, kept,
+                             alive & ~inc[low.bit_length() - 1]))
+            kept |= low
+        stack.extend(reversed(children))
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return TuranCertificate(
         family=family.members, n=n, value=best,
@@ -425,12 +525,13 @@ def aes_check(r: int, t: int = 2) -> bool:
     for mask in range(1, 1 << total):
         if mask.bit_count() <= thresh:
             continue
-        pts = _points_of_mask(mask)
+        m = Matroid.from_mask(r, mask)
+        pts = m.sorted_points()
         if not _triangle_free(pts, mask):
             continue
         if rank_ints(pts) != r:
             continue
-        if chi(Matroid(r, frozenset(pts))) > t - 1:
+        if chi(m) > t - 1:
             return False
     return True
 
@@ -447,12 +548,12 @@ def aes_probe(r: int, t: int = 2) -> tuple[int, Matroid]:
     for mask in range(1, 1 << total):
         if best is not None and mask.bit_count() <= best[0]:
             continue
-        pts = _points_of_mask(mask)
+        m = Matroid.from_mask(r, mask)
+        pts = m.sorted_points()
         if not _triangle_free(pts, mask):
             continue
         if rank_ints(pts) != r:
             continue
-        m = Matroid(r, frozenset(pts))
         if chi(m) > t - 1:
             best = (m.size, m)
     if best is None:

@@ -125,6 +125,12 @@ def test_ex_text_output(capsys, tri_file):
     assert "value 4" in out and "certified true" in out
 
 
+def test_ex_triangle_n6_certified_within_budget(capsys, tri_file):
+    code, out = invoke(capsys, "ex", tri_file, "--n", "6", "--time-limit", "2")
+    assert code == 0
+    assert "value 32" in out and "certified true" in out
+
+
 def test_ex_budget_exit(capsys, fano_file):
     code, out = invoke(capsys, "ex", fano_file, "--n", "5",
                        "--time-limit", "0")

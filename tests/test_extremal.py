@@ -92,13 +92,15 @@ def test_ex_matches_naive_exhaustive():
         (Family.from_matroids([free(4), circuit(4)]), 3),
         (Family.from_matroids([free(2)]), 3),
     ]
-    for fam, n in cases:
-        cert = ex_search(fam, n)
-        assert cert.certified
-        assert cert.value == naive_ex(fam, n)
-        # witness is free and has the claimed size
-        assert cert.witness.size == cert.value
-        assert all(not contains(cert.witness, m) for m in fam.members)
+    for fam, max_n in cases:
+        # n = 1, 2 stop inside the symmetric first levels of the search
+        for n in range(1, max_n + 1):
+            cert = ex_search(fam, n)
+            assert cert.certified
+            assert cert.value == naive_ex(fam, n)
+            # witness is free and has the claimed size
+            assert cert.witness.size == cert.value
+            assert all(not contains(cert.witness, m) for m in fam.members)
 
 
 def test_ex_bose_burton_values():
@@ -106,6 +108,22 @@ def test_ex_bose_burton_values():
         cert = ex_search(Family.from_matroids([pg(t + 1)]), n)
         assert cert.value == (1 << n) - (1 << (n - t))
         assert isomorphic(cert.witness, bb(n, t))
+    # larger cells, certified within a budget (isomorphism is too slow here)
+    for t, n in [(1, 5), (1, 6), (1, 7), (2, 6)]:
+        cert = ex_search(Family.from_matroids([pg(t + 1)]), n, time_limit=10)
+        assert cert.certified
+        assert cert.value == cert.witness.size == (1 << n) - (1 << (n - t))
+        assert not contains(cert.witness, pg(t + 1))
+
+
+def test_ex_search_is_deterministic():
+    for fam, n in [
+        (Family.from_matroids([pg(3)]), 5),
+        (Family.from_matroids([circuit(4)]), 5),
+        (Family.from_matroids([pg(2), circuit(4)]), 4),
+    ]:
+        a, b = ex_search(fam, n), ex_search(fam, n)
+        assert (a.value, a.witness, a.nodes) == (b.value, b.witness, b.nodes)
 
 
 def test_ex_free_families():
