@@ -1,9 +1,10 @@
 """Content-addressed store of certified search results.
 
-One JSON file per entry under a two-level hash-prefix layout; writes go
-through a temp file and an atomic rename, so concurrent readers never see
-a partial entry.  Entries are re-verified on every read: a payload that
-fails verification is quarantined with a diagnostic, never served.
+One JSON file per entry under a two-level hash-prefix layout; each write
+goes through a temp file of its own, an fsync and an atomic rename, so
+concurrent readers and writers never see a partial entry.  Entries are
+re-verified on every read: a payload that fails verification is
+quarantined with a diagnostic, never served.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -104,10 +106,20 @@ class Catalog:
         )
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(entry.to_json_dict(), sort_keys=True,
-                                  indent=1) + "\n")
-        os.replace(tmp, path)
+        # a temp file of its own per writer, so concurrent writers of one
+        # key never rename each other's half-written files
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{key}.",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(entry.to_json_dict(), sort_keys=True,
+                                    indent=1) + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         return key
 
     def _load(self, path: Path) -> tuple[CatalogEntry | None, str | None]:
@@ -130,7 +142,10 @@ class Catalog:
     def _quarantine(self, path: Path, diag: str) -> None:
         qdir = self.root / "quarantine"
         qdir.mkdir(parents=True, exist_ok=True)
-        os.replace(path, qdir / path.name)
+        try:
+            os.replace(path, qdir / path.name)
+        except FileNotFoundError:
+            return  # a concurrent reader has quarantined it already
         (qdir / (path.stem + ".reason")).write_text(diag + "\n")
 
     def get(self, key: str) -> CatalogEntry | None:

@@ -111,17 +111,15 @@ _EX_MAX_COPIES = 5_000_000
 def _all_copies(family: Family, n: int) -> list[int]:
     """Point-set bitsets of every forbidden restriction inside the full
     geometry, sorted ascending by size then value."""
-    host_pts = list(range(1, 1 << n))
+    host_pts = range(1, 1 << n)
     host_mask = (1 << ((1 << n) - 1)) - 1
     copies: set[int] = set()
     for m in family.members:
         if m.dim > n:
             continue
         sched = _schedule_cached(m.dim, m.mask)
-        copies |= kernels.all_embedding_images(
-            host_pts, host_mask, len(sched.basis),
-            [list(c) for c in sched.checks], list(sched.all_coeffs),
-        )
+        copies |= kernels.all_embedding_images(host_pts, host_mask,
+                                               sched.checks)
         if len(copies) > _EX_MAX_COPIES:
             raise CapacityError("too many forbidden restrictions to index")
     return sorted(copies, key=lambda c: (c.bit_count(), c))
@@ -498,12 +496,19 @@ def nearest_bose_burton(m: Matroid, k: int) -> StabilityReport:
     )
 
 
-def _triangle_free(points: list[int], mask: int) -> bool:
+def _spanning_triangle_free(r: int, mask: int) -> bool:
+    """Is the point set of ``mask`` free of triangles and of rank r?"""
+    points = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        points.append(low.bit_length())
     for i, a in enumerate(points):
         for b in points[i + 1:]:
             if (mask >> ((a ^ b) - 1)) & 1:
                 return False
-    return True
+    return rank_ints(points) == r
 
 
 def _aes_threshold(r: int, t: int) -> int:
@@ -523,15 +528,9 @@ def aes_check(r: int, t: int = 2) -> bool:
     thresh = _aes_threshold(r, t)
     total = (1 << r) - 1
     for mask in range(1, 1 << total):
-        if mask.bit_count() <= thresh:
+        if mask.bit_count() <= thresh or not _spanning_triangle_free(r, mask):
             continue
-        m = Matroid.from_mask(r, mask)
-        pts = m.sorted_points()
-        if not _triangle_free(pts, mask):
-            continue
-        if rank_ints(pts) != r:
-            continue
-        if chi(m) > t - 1:
+        if chi(Matroid.from_mask(r, mask)) > t - 1:
             return False
     return True
 
@@ -548,12 +547,9 @@ def aes_probe(r: int, t: int = 2) -> tuple[int, Matroid]:
     for mask in range(1, 1 << total):
         if best is not None and mask.bit_count() <= best[0]:
             continue
+        if not _spanning_triangle_free(r, mask):
+            continue
         m = Matroid.from_mask(r, mask)
-        pts = m.sorted_points()
-        if not _triangle_free(pts, mask):
-            continue
-        if rank_ints(pts) != r:
-            continue
         if chi(m) > t - 1:
             best = (m.size, m)
     if best is None:

@@ -51,7 +51,6 @@ class Embedding:
 class _Schedule:
     basis: tuple[int, ...]
     checks: tuple[tuple[int, ...], ...]
-    all_coeffs: tuple[int, ...]
 
 
 def _schedule(pattern: Matroid) -> _Schedule:
@@ -60,7 +59,6 @@ def _schedule(pattern: Matroid) -> _Schedule:
     remaining = set(pattern.points)
     basis: list[int] = []
     checks: list[tuple[int, ...]] = []
-    coeff_of: dict[int, int] = {}
     while remaining:
         best_b = None
         best_closed: list[tuple[int, int]] = []
@@ -80,11 +78,8 @@ def _schedule(pattern: Matroid) -> _Schedule:
             raise AssertionError("points not spanned by independent points")
         basis.append(best_b)
         checks.append(tuple(c for _p, c in best_closed))
-        for p, c in best_closed:
-            coeff_of[p] = c
-            remaining.discard(p)
-    all_coeffs = tuple(coeff_of[p] for p in pattern.sorted_points())
-    return _Schedule(tuple(basis), tuple(checks), all_coeffs)
+        remaining.difference_update(p for p, _c in best_closed)
+    return _Schedule(tuple(basis), tuple(checks))
 
 
 @lru_cache(maxsize=256)
@@ -135,10 +130,8 @@ def contains(host: Matroid, pattern: Matroid,
         lm = _extend_to_injective([], [], pattern.dim, host.dim)
         return Embedding(lm, frozenset())
     sched = _schedule_cached(pattern.dim, pattern.mask)
-    imgs = kernels.find_embedding(
-        host.sorted_points(), host.mask, len(sched.basis),
-        [list(c) for c in sched.checks], True,
-    )
+    imgs = kernels.find_embedding(host.sorted_points(), host.mask,
+                                  sched.checks, True)
     if imgs is None:
         return None if want_witness else False
     if not want_witness:
@@ -159,10 +152,8 @@ def homomorphic(pattern: Matroid, host: Matroid) -> bool:
     if not host.points:
         return False
     sched = _schedule_cached(pattern.dim, pattern.mask)
-    imgs = kernels.find_embedding(
-        host.sorted_points(), host.mask, len(sched.basis),
-        [list(c) for c in sched.checks], False,
-    )
+    imgs = kernels.find_embedding(host.sorted_points(), host.mask,
+                                  sched.checks, False)
     return imgs is not None
 
 
@@ -202,8 +193,5 @@ def count_restrictions(host: Matroid, pattern: Matroid) -> int:
     if not pattern.points:
         return 1
     sched = _schedule_cached(pattern.dim, pattern.mask)
-    images = kernels.all_embedding_images(
-        host.sorted_points(), host.mask, len(sched.basis),
-        [list(c) for c in sched.checks], list(sched.all_coeffs),
-    )
-    return len(images)
+    return len(kernels.all_embedding_images(host.sorted_points(), host.mask,
+                                            sched.checks))

@@ -1,10 +1,10 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately use different algorithms from the package:
-chi via exhaustive subspace enumeration, containment via enumeration of
-all injective linear maps on a row-echelon basis with a final membership
-check, isomorphism via exhaustive GL(n,2) application.  They are slow
-and only used at small dimensions.
+chi via exhaustive subspace enumeration, containment and restriction
+counts via enumeration of all injective linear maps on a row-echelon
+basis with a final membership check, isomorphism via exhaustive GL(n,2)
+application.  They are slow and only used at small dimensions.
 """
 
 from __future__ import annotations
@@ -39,13 +39,10 @@ def _independent_tuples(n: int, r: int, prefix: tuple[int, ...] = ()):
             yield from _independent_tuples(n, r, prefix + (v,))
 
 
-def naive_contains(host: Matroid, pattern: Matroid) -> bool:
+def _naive_images(host: Matroid, pattern: Matroid):
     """Try every injective-on-span linear map and check all points at the
-    end; no schedules, no pruning."""
-    if host.dim < pattern.dim:
-        return False
-    if not pattern.points:
-        return True
+    end; no schedules, no pruning.  Yields the image of each map that
+    sends every pattern point to a host point."""
     basis, pivots = rref_ints(pattern.points)
     coords = []
     for p in pattern.points:
@@ -56,18 +53,32 @@ def naive_contains(host: Matroid, pattern: Matroid) -> bool:
         coords.append(c)
     r = len(basis)
     for imgs in _independent_tuples(host.dim, r):
-        ok = True
+        image = []
         for c in coords:
             x = 0
             for i in range(r):
                 if (c >> i) & 1:
                     x ^= imgs[i]
             if x not in host.points:
-                ok = False
                 break
-        if ok:
-            return True
-    return False
+            image.append(x)
+        else:
+            yield frozenset(image)
+
+
+def naive_contains(host: Matroid, pattern: Matroid) -> bool:
+    if host.dim < pattern.dim:
+        return False
+    if not pattern.points:
+        return True
+    return any(True for _image in _naive_images(host, pattern))
+
+
+def naive_count_restrictions(host: Matroid, pattern: Matroid) -> int:
+    """Number of distinct images over every injective map."""
+    if host.dim < pattern.dim:
+        return 0
+    return len(set(_naive_images(host, pattern)))
 
 
 def gl_maps(n: int) -> list[tuple[int, ...]]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -87,6 +88,48 @@ def test_corrupt_json_quarantined(cat):
     path.write_text("{not json")
     assert cat.get(key) is None
     assert (cat.root / "quarantine" / f"{key}.json").is_file()
+
+
+def test_quarantine_survives_a_concurrent_move(cat):
+    key = cat.put(_cert())
+    path = cat.root / key[:2] / key[2:4] / f"{key}.json"
+    path.write_text("{not json")
+    entry, diag = cat._load(path)
+    assert entry is None
+    cat._quarantine(path, diag)  # another reader got there first
+    cat._quarantine(path, diag)
+    assert cat.get(key) is None
+    assert (cat.root / "quarantine" / f"{key}.json").is_file()
+
+
+def _put_many(root, start, times):
+    cat = Catalog(root)
+    cert = _cert()
+    start.wait(timeout=60)
+    for _ in range(times):
+        cat.put(cert)
+
+
+def test_concurrent_writers_of_one_key(tmp_path):
+    # three processes rewrite one entry at once: every write must
+    # succeed, and the entry must read back intact
+    root = tmp_path / "cache"
+    ctx = multiprocessing.get_context("spawn")
+    start = ctx.Barrier(3)
+    procs = [ctx.Process(target=_put_many, args=(root, start, 100))
+             for _ in range(3)]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=120)
+        if proc.is_alive():
+            proc.kill()
+    assert [proc.exitcode for proc in procs] == [0, 0, 0]
+    cert = _cert()
+    entry = Catalog(root).get(entry_key(cert.family, cert.n, "turan"))
+    assert entry is not None and entry.certificate == cert
+    assert not list(root.glob("**/*.tmp"))
+    assert not (root / "quarantine").exists()
 
 
 def test_refuses_bad_certificate(cat):

@@ -181,6 +181,12 @@ def test_chi_monotone_under_restriction(n, data):
     assert chi(Matroid(n, frozenset(sub))) <= chi(m)
 
 
+def test_chi_dim7():
+    # a triangle and the Bose-Burton geometry of order 3 in F_2^7
+    assert chi(Matroid(7, frozenset({1, 2, 3}))) == 2
+    assert chi(bb(7, 3)) == 3
+
+
 def test_chi_capacity():
     with pytest.raises(CapacityError):
         chi(Matroid(13, frozenset({1})))

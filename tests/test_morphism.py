@@ -18,7 +18,12 @@ from bmx.morphism import (
     homomorphic,
     isomorphic,
 )
-from conftest import naive_contains, naive_isomorphic, random_matroid
+from conftest import (
+    naive_contains,
+    naive_count_restrictions,
+    naive_isomorphic,
+    random_matroid,
+)
 
 
 def test_contains_examples():
@@ -29,6 +34,13 @@ def test_contains_examples():
     assert contains(pg(2), Matroid(2, frozenset()))
     # dimension gate: the pattern's ambient must fit
     assert not contains(pg(2), Matroid(3, frozenset({1})))
+
+
+def test_contains_dim7():
+    tri = Matroid(7, frozenset({1, 2, 3}))
+    assert contains(tri, pg(2)) and not contains(tri, free(3))
+    assert not contains(tri, pg(3))
+    assert contains(bb(7, 3), pg(3))
 
 
 def test_contains_witness():
@@ -159,3 +171,11 @@ def test_count_restrictions_brute_dim3(rng):
             if naive_isomorphic(Matroid(3, frozenset(sub)), tri3)
         )
         assert count_restrictions(host, pg(2)) == brute
+    # C4, I3, Fano, C5: copies counted over every injective map
+    for pattern in [circuit(4), free(3), pg(3), circuit(5)]:
+        for _ in range(10):
+            host = random_matroid(rng, rng.randint(3, 4),
+                                  rng.choice([0.5, 0.8, 1.0]))
+            assert count_restrictions(host, pattern) == \
+                naive_count_restrictions(host, pattern), (host, pattern)
+
