@@ -3,8 +3,9 @@
 One JSON file per entry under a two-level hash-prefix layout; each write
 goes through a temp file of its own, an fsync and an atomic rename, so
 concurrent readers and writers never see a partial entry.  Entries are
-re-verified on every read: a payload that fails verification is
-quarantined with a diagnostic, never served.
+re-verified on every read: a payload that fails verification, or whose
+key recomputed from its family and n is not its filename, is quarantined
+with a diagnostic, never served.
 """
 
 from __future__ import annotations
@@ -24,23 +25,27 @@ from bmx.matroid import Matroid
 from bmx.morphism import canonical_key, contains
 
 ENV_VAR = "BMX_CACHE"
+KIND = "turan"  # the one query kind; part of every key and entry file
 
 
-def entry_key(members: tuple[Matroid, ...], n: int, kind: str) -> str:
+def entry_key(members: tuple[Matroid, ...], n: int) -> str:
     """Hash of (sorted canonical family keys, n, query kind)."""
     keys = sorted(f"{k.dim}:{k.bits}" for k in map(canonical_key, members))
-    blob = json.dumps({"kind": kind, "n": n, "family": keys}, sort_keys=True)
+    blob = json.dumps({"kind": KIND, "n": n, "family": keys}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def verify_certificate(cert: TuranCertificate) -> str | None:
     """Re-check a certificate independently of its search transcript.
 
-    The witness must live in the right dimension, have the claimed size,
-    and be free of every family member.  Optimality is exactly what the
-    transcript attests and is not re-derived here.  Returns a diagnostic
-    string, or None if the certificate verifies.
+    The certificate must be certified, and the witness must live in the
+    right dimension, have the claimed size, and be free of every family
+    member.  Optimality is exactly what the transcript attests and is not
+    re-derived here.  Returns a diagnostic string, or None if the
+    certificate verifies.
     """
+    if not cert.certified:
+        return "certificate is not certified"
     w = cert.witness
     if w.dim != cert.n:
         return f"witness dimension {w.dim} != n {cert.n}"
@@ -55,7 +60,6 @@ def verify_certificate(cert: TuranCertificate) -> str | None:
 @dataclass(frozen=True)
 class CatalogEntry:
     key: str
-    kind: str
     created_at: str
     version: str
     certificate: TuranCertificate
@@ -63,7 +67,7 @@ class CatalogEntry:
     def to_json_dict(self) -> dict:
         return {
             "key": self.key,
-            "kind": self.kind,
+            "kind": KIND,
             "created_at": self.created_at,
             "version": self.version,
             "payload": self.certificate.to_json_dict(),
@@ -94,13 +98,13 @@ class Catalog:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / key[2:4] / f"{key}.json"
 
-    def put(self, cert: TuranCertificate, kind: str = "turan") -> str:
+    def put(self, cert: TuranCertificate) -> str:
         diag = verify_certificate(cert)
         if diag is not None:
             raise UsageError(f"refusing to store a bad certificate: {diag}")
-        key = entry_key(cert.family, cert.n, kind)
+        key = entry_key(cert.family, cert.n)
         entry = CatalogEntry(
-            key=key, kind=kind,
+            key=key,
             created_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             version=__version__, certificate=cert,
         )
@@ -126,7 +130,7 @@ class Catalog:
         try:
             d = json.loads(path.read_text())
             entry = CatalogEntry(
-                key=str(d["key"]), kind=str(d["kind"]),
+                key=str(d["key"]),
                 created_at=str(d["created_at"]), version=str(d["version"]),
                 certificate=TuranCertificate.from_json_dict(d["payload"]),
             )
@@ -137,6 +141,9 @@ class Catalog:
             return None, diag
         if entry.key != path.stem:
             return None, "entry key does not match its filename"
+        cert = entry.certificate
+        if entry_key(cert.family, cert.n) != entry.key:
+            return None, "entry key does not match its family and n"
         return entry, None
 
     def _quarantine(self, path: Path, diag: str) -> None:
@@ -159,9 +166,8 @@ class Catalog:
             return None
         return entry
 
-    def lookup(self, family: Family, n: int,
-               kind: str = "turan") -> CatalogEntry | None:
-        return self.get(entry_key(family.members, n, kind))
+    def lookup(self, family: Family, n: int) -> CatalogEntry | None:
+        return self.get(entry_key(family.members, n))
 
     def verify_all(self) -> VerifyReport:
         ok: list[str] = []

@@ -205,7 +205,7 @@ def _cmd_ex(args) -> int:
 def _cmd_nearest_bb(args) -> int:
     m = _read_matroid(args.file)
     rep = nearest_bose_burton(m, args.k)
-    funs = list(rep.subspace.functionals or ())
+    funs = list(rep.functionals)
     text = (
         f"distance {rep.distance}\n"
         f"density {rep.density}\n"
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=verify_mod.SUITES)
-    p.add_argument("--max-n", type=int, default=5)
+    p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--time-limit", type=float, default=None)
     _add_format(p)
     p.set_defaults(func=_cmd_verify)

@@ -5,24 +5,23 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 from bmx import kernels
 from bmx.errors import CapacityError, UsageError
-from bmx.gf2core import Subspace, enumerate_codim_subspaces, rank_ints
+from bmx.gf2core import enumerate_subspaces, parity_masks, rank_ints
 from bmx.matroid import (
     LiftSpec,
     Matroid,
     chi,
     delete,
     from_compact,
-    intersect_flat,
     lift,
     recoordinatize,
     to_compact,
 )
-from bmx.morphism import CanonicalKey, canonical_key, contains, _schedule_cached
+from bmx.morphism import canonical_key, contains, _schedule_cached
 
 EX_MAX_DIM = 8
 NEAREST_MAX_DIM = 10
@@ -60,10 +59,6 @@ class Family:
     def k(self) -> int:
         """min critical number over the members, minus one."""
         return min(chi(m) for m in self.members) - 1
-
-    @cached_property
-    def keys(self) -> tuple[CanonicalKey, ...]:
-        return tuple(canonical_key(m) for m in self.members)
 
 
 @dataclass(frozen=True)
@@ -323,6 +318,15 @@ def ex_search(family: Family, n: int,
     )
 
 
+def _seen(masks: list[int], functionals: tuple[int, ...]) -> int:
+    """The points that some functional sees (``masks`` from
+    ``parity_masks``): the complement of their common kernel."""
+    out = 0
+    for a in functionals:
+        out |= masks[a]
+    return out
+
+
 def decomposition_family(family: Family) -> Family:
     """The decomposition family: restriction-minimal matroids whose removal
     from some member drops its critical number to k.
@@ -330,7 +334,8 @@ def decomposition_family(family: Family) -> Family:
     Computed through codimension-k slices of the members (each slice's
     removal leaves a subset of a Bose-Burton geometry of order k), then
     deduplicated up to isomorphism and filtered to restriction-minimal
-    representatives in canonical coordinates.
+    representatives in canonical coordinates.  The slice by the common
+    kernel W of k functionals drops the points that some functional sees.
     """
     k = family.k
     if k == 0:
@@ -340,8 +345,10 @@ def decomposition_family(family: Family) -> Family:
             raise CapacityError("decomposition limited to member dim <= 8")
     classes: dict[tuple[int, str], Matroid] = {}
     for m in family.members:
-        for w in enumerate_codim_subspaces(m.dim, k):
-            sl = recoordinatize(intersect_flat(m, w))
+        masks = parity_masks(m.dim)
+        for dual in enumerate_subspaces(m.dim, k):
+            inside = m.mask & ~_seen(masks, dual.basis)
+            sl = recoordinatize(Matroid.from_mask(m.dim, inside))
             key = canonical_key(sl)
             classes.setdefault((key.dim, key.bits), key.matroid())
     reps = sorted(classes.values(), key=lambda m: (m.dim, m.size, m.mask))
@@ -463,34 +470,42 @@ def corollary_tier(family: Family) -> TierReport:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Nearest Bose-Burton geometry of a given order, in edit distance."""
+    """Nearest Bose-Burton geometry of a given order, in edit distance.
+
+    ``functionals`` is a basis of the dual of the empty flat W: the
+    Bose-Burton geometry is the set of points that one of them sees.
+    """
 
     matroid: Matroid
-    subspace: Subspace
+    functionals: tuple[int, ...]
     bose_burton: Matroid
     distance: int
     density: float
 
 
 def nearest_bose_burton(m: Matroid, k: int) -> StabilityReport:
-    """Minimize |M symdiff (F_2^n minus W)| over codimension-k subspaces W."""
+    """Minimize |M symdiff (F_2^n minus W)| over codimension-k subspaces W.
+
+    W runs over the kernels of the k-dimensional dual spaces, in the order
+    of ``enumerate_subspaces``; the first minimum wins.
+    """
     if m.dim > NEAREST_MAX_DIM:
         raise CapacityError(f"stability scan limited to dim <= {NEAREST_MAX_DIM}")
     if not 1 <= k <= NEAREST_MAX_ORDER:
         raise UsageError(f"order must be in 1..{NEAREST_MAX_ORDER}")
     if k > m.dim:
         raise UsageError("order exceeds dimension")
-    full = (1 << ((1 << m.dim) - 1)) - 1
+    masks = parity_masks(m.dim)
     best = None
-    for w in enumerate_codim_subspaces(m.dim, k):
-        b_mask = full & ~w.element_mask
+    for dual in enumerate_subspaces(m.dim, k):
+        b_mask = _seen(masks, dual.basis)
         d = (m.mask ^ b_mask).bit_count()
         if best is None or d < best[0]:
-            best = (d, w, b_mask)
+            best = (d, dual.basis, b_mask)
     assert best is not None
-    d, w, b_mask = best
+    d, functionals, b_mask = best
     return StabilityReport(
-        matroid=m, subspace=w,
+        matroid=m, functionals=functionals,
         bose_burton=Matroid.from_mask(m.dim, b_mask),
         distance=d, density=m.size / (1 << m.dim),
     )
@@ -518,40 +533,43 @@ def _aes_threshold(r: int, t: int) -> int:
     return num // den
 
 
-def aes_check(r: int, t: int = 2) -> bool:
-    """Exhaustively verify: every rank-r PG(t-1,2)-free matroid larger than
-    the density threshold has critical number at most t-1."""
+def _aes_guard(r: int, t: int) -> None:
     if t < 2 or r < t + 2:
         raise UsageError("need t >= 2 and r >= t + 2")
     if r > 4 or t != 2:
-        raise CapacityError("exhaustive check limited to (r, t) = (4, 2)")
-    thresh = _aes_threshold(r, t)
-    total = (1 << r) - 1
-    for mask in range(1, 1 << total):
-        if mask.bit_count() <= thresh or not _spanning_triangle_free(r, mask):
-            continue
-        if chi(Matroid.from_mask(r, mask)) > t - 1:
-            return False
-    return True
+        raise CapacityError("exhaustive scan limited to (r, t) = (4, 2)")
 
 
-def aes_probe(r: int, t: int = 2) -> tuple[int, Matroid]:
-    """Largest rank-r, PG(t-1,2)-free matroid with critical number > t-1;
-    probes the tightness of the density threshold."""
-    if t < 2 or r < t + 2:
-        raise UsageError("need t >= 2 and r >= t + 2")
-    if r > 4 or t != 2:
-        raise CapacityError("exhaustive probe limited to (r, t) = (4, 2)")
+@cache
+def _aes_largest(r: int, t: int) -> Matroid | None:
+    """The first largest rank-r, triangle-free matroid with critical
+    number > t-1, over all masks in ascending order, or None."""
     total = (1 << r) - 1
-    best: tuple[int, Matroid] | None = None
+    best: Matroid | None = None
     for mask in range(1, 1 << total):
-        if best is not None and mask.bit_count() <= best[0]:
+        if best is not None and mask.bit_count() <= best.size:
             continue
         if not _spanning_triangle_free(r, mask):
             continue
         m = Matroid.from_mask(r, mask)
         if chi(m) > t - 1:
-            best = (m.size, m)
+            best = m
+    return best
+
+
+def aes_check(r: int, t: int = 2) -> bool:
+    """Exhaustively verify: every rank-r PG(t-1,2)-free matroid larger than
+    the density threshold has critical number at most t-1."""
+    _aes_guard(r, t)
+    best = _aes_largest(r, t)
+    return best is None or best.size <= _aes_threshold(r, t)
+
+
+def aes_probe(r: int, t: int = 2) -> tuple[int, Matroid]:
+    """Largest rank-r, PG(t-1,2)-free matroid with critical number > t-1;
+    probes the tightness of the density threshold."""
+    _aes_guard(r, t)
+    best = _aes_largest(r, t)
     if best is None:
         raise UsageError("no qualifying matroid exists")
-    return best
+    return best.size, best

@@ -2,26 +2,20 @@
 
 Vectors in F_2^n are plain ints: coordinate i is bit i-1, so coordinate 1
 is the least significant bit and a nonzero vector doubles as its point
-index in 1..2^n-1.  ``Gf2Vector`` wraps an int together with its ambient
-dimension for the public API; the int helpers underneath are what the
-search kernels use.
+index in 1..2^n-1.  A set of points is a bitset over those indices (bit
+p-1 for point p), and ``parity_masks`` gives, for every functional a, the
+set of points it sees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from bmx.errors import UsageError
 
 MAX_DIM = 24
-
-
-def dot(a: int, b: int) -> int:
-    """Parity pairing <a, b> over GF(2)."""
-    return (a & b).bit_count() & 1
 
 
 def rank_ints(vectors: Iterable[int]) -> int:
@@ -69,21 +63,6 @@ def reduce_against(basis: Sequence[int], pivots: Sequence[int], v: int) -> int:
     return v
 
 
-def span_elements(basis: Sequence[int]) -> Iterator[int]:
-    """All 2^k elements of the span, zero included, in subset-counter order."""
-    k = len(basis)
-    for mask in range(1 << k):
-        v = 0
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                v ^= basis[i]
-            m >>= 1
-            i += 1
-        yield v
-
-
 def coords_in_basis(basis: Sequence[int], v: int) -> int | None:
     """Coefficient mask expressing v over an arbitrary independent basis.
 
@@ -107,71 +86,19 @@ def coords_in_basis(basis: Sequence[int], v: int) -> int | None:
 
 
 @dataclass(frozen=True)
-class Gf2Vector:
-    """An element of F_2^n as an n-bit mask; coordinate 1 is the LSB."""
-
-    bits: int
-    ambient: int
-
-    def __post_init__(self):
-        if not 0 < self.ambient <= MAX_DIM:
-            raise UsageError(f"ambient dimension must be in 1..{MAX_DIM}")
-        if not 0 <= self.bits < (1 << self.ambient):
-            raise UsageError("vector has bits outside its ambient dimension")
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def coord(self, i: int) -> int:
-        """Coordinate i, 1-based."""
-        return (self.bits >> (i - 1)) & 1
-
-    def __xor__(self, other: "Gf2Vector") -> "Gf2Vector":
-        if other.ambient != self.ambient:
-            raise UsageError("mixed ambient dimensions")
-        return Gf2Vector(self.bits ^ other.bits, self.ambient)
-
-
-@dataclass(frozen=True)
 class Subspace:
-    """A subspace of F_2^n given by a reduced row-echelon basis.
-
-    When produced by codimension enumeration, ``functionals`` carries the
-    parity-check functionals whose common kernel this subspace is.
-    """
+    """A subspace of F_2^n given by a reduced row-echelon basis."""
 
     ambient: int
     basis: tuple[int, ...]
     pivots: tuple[int, ...]
-    functionals: tuple[int, ...] | None = None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def codim(self) -> int:
-        return self.ambient - len(self.basis)
-
     def contains_int(self, v: int) -> bool:
         return reduce_against(self.basis, self.pivots, v) == 0
-
-    def contains(self, v: Gf2Vector) -> bool:
-        if v.ambient != self.ambient:
-            raise UsageError("mixed ambient dimensions")
-        return self.contains_int(v.bits)
-
-    def elements(self) -> Iterator[int]:
-        return span_elements(self.basis)
-
-    @cached_property
-    def element_mask(self) -> int:
-        """Characteristic bitset of nonzero members over point indices."""
-        mask = 0
-        for v in self.elements():
-            if v:
-                mask |= 1 << (v - 1)
-        return mask
 
 
 @dataclass(frozen=True)
@@ -207,30 +134,6 @@ class LinearMap:
         return LinearMap(n, n, tuple(1 << i for i in range(n)))
 
 
-def _shared_ambient(vectors: Sequence[Gf2Vector]) -> int | None:
-    dims = {v.ambient for v in vectors}
-    if len(dims) > 1:
-        raise UsageError("mixed ambient dimensions")
-    return dims.pop() if dims else None
-
-
-def rank_of_set(vectors: Sequence[Gf2Vector]) -> int:
-    """GF(2) rank of a set of vectors; 0 for the empty list."""
-    _shared_ambient(vectors)
-    return rank_ints(v.bits for v in vectors)
-
-
-def reduce(vectors: Sequence[Gf2Vector], ambient: int | None = None) -> Subspace:
-    """Span of the given vectors as a Subspace in RREF basis."""
-    n = _shared_ambient(vectors)
-    if n is None:
-        if ambient is None:
-            raise UsageError("empty vector list needs an explicit ambient")
-        n = ambient
-    basis, pivots = rref_ints(v.bits for v in vectors)
-    return Subspace(n, tuple(basis), tuple(pivots))
-
-
 def enumerate_subspaces(n: int, k: int) -> Iterator[Subspace]:
     """All k-dimensional subspaces of F_2^n, each exactly once.
 
@@ -260,40 +163,29 @@ def enumerate_subspaces(n: int, k: int) -> Iterator[Subspace]:
             yield Subspace(n, tuple(rows), tuple(pivs))
 
 
-def nullspace_ints(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:
-    """RREF basis of {x : <a, x> = 0 for all a in rows}."""
-    rr, pivs = rref_ints(rows)
-    pivot_set = set(pivs)
-    basis = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        vec = 1 << f
-        for row, p in zip(rr, pivs):
-            if (row >> f) & 1:
-                vec |= 1 << p
-        basis.append(vec)
-    out, out_pivs = rref_ints(basis)
-    return out, out_pivs
+_PARITY_MASKS: dict[int, list[int]] = {}
 
 
-def enumerate_codim_subspaces(n: int, c: int) -> Iterator[Subspace]:
-    """All (n-c)-dimensional subspaces, via their dual (parity-check) spaces.
+def parity_masks(n: int) -> list[int]:
+    """``parity_masks(n)[a]``: the bitset of the points p of F_2^n with
+    odd <a, p>.
 
-    Each yielded Subspace exposes its c parity functionals.
+    Built on first use for each n.  Entry a is the XOR of the coordinate
+    columns of a, where column i is the set of points with coordinate i
+    set.  The points outside a subspace are the OR of the entries of any
+    basis of its dual space.
     """
-    if not (0 <= c <= n <= MAX_DIM):
-        raise UsageError("need 0 <= c <= n <= 24")
-    for dual in enumerate_subspaces(n, c):
-        basis, pivs = nullspace_ints(dual.basis, n)
-        yield Subspace(n, tuple(basis), tuple(pivs), functionals=dual.basis)
-
-
-def apply_map(phi: LinearMap, v: Gf2Vector) -> Gf2Vector:
-    """Image of v under phi."""
-    if v.ambient != phi.domain_dim:
-        raise UsageError("vector not in the map's domain")
-    return Gf2Vector(phi.apply_int(v.bits), phi.codomain_dim)
+    table = _PARITY_MASKS.get(n)
+    if table is None:
+        points = range(1, 1 << n)
+        columns = [sum(1 << (p - 1) for p in points if p >> i & 1)
+                   for i in range(n)]
+        table = [0] * (1 << n)
+        for a in points:
+            low = a & -a
+            table[a] = table[a ^ low] ^ columns[low.bit_length() - 1]
+        _PARITY_MASKS[n] = table
+    return table
 
 
 def gaussian_binomial(n: int, k: int) -> int:

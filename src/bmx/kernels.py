@@ -2,7 +2,8 @@
 
 These are the hot inner loops: canonical-form backtracking, one
 embedding enumerator behind both containment and copy counting, and the
-parity-functional covering search behind the critical number.  They are
+parity-functional covering search behind the critical number, which
+works on the point bitset through ``gf2core.parity_masks``.  They are
 plain Python; there is no compiled variant.
 
 All inputs are primitive: vectors are ints, point sets are characteristic
@@ -12,6 +13,8 @@ bitsets (bit p-1 set iff point p is present).
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+
+from bmx.gf2core import parity_masks
 
 # the benchmark harness (perfbench/worker.py) prints it with every result
 ACTIVE_BACKEND = "python"
@@ -145,30 +148,18 @@ def all_embedding_images(host_pts: Sequence[int], host_mask: int,
                            [0] * len(checks)))
 
 
-def cover_exists(n: int, points: list[int], depth: int) -> list[int] | None:
+def cover_exists(n: int, pmask: int, depth: int) -> list[int] | None:
     """Find <= depth parity functionals covering every point, or None.
 
     A functional a covers p when <a, p> = 1; a full cover means the common
-    kernel of the chosen functionals misses the point set entirely.
+    kernel of the chosen functionals misses the point set ``pmask``
+    entirely.  The search branches on the lowest uncovered point, and
+    choosing a leaves ``uncovered & ~parity_masks(n)[a]``.
     """
-    m = len(points)
-    if m == 0:
+    if pmask == 0:
         return []
-    full = (1 << m) - 1
-    nfun = (1 << n) - 1
-    cover_mask: dict[int, int] = {}
+    table = parity_masks(n)
     failed: dict[int, int] = {}
-
-    def masks_for(a: int) -> int:
-        cm = cover_mask.get(a)
-        if cm is None:
-            cm = 0
-            for j, p in enumerate(points):
-                if (a & p).bit_count() & 1:
-                    cm |= 1 << j
-            cover_mask[a] = cm
-        return cm
-
     chosen: list[int] = []
 
     def search(uncovered: int, d: int) -> bool:
@@ -178,17 +169,15 @@ def cover_exists(n: int, points: list[int], depth: int) -> list[int] | None:
             return False
         if failed.get(uncovered, -1) >= d:
             return False
-        # branch on the first uncovered point
-        j = (uncovered & -uncovered).bit_length() - 1
-        v = points[j]
-        for a in range(1, nfun + 1):
+        v = (uncovered & -uncovered).bit_length()
+        for a in range(1, len(table)):
             if not (a & v).bit_count() & 1:
                 continue
             chosen.append(a)
-            if search(uncovered & ~masks_for(a), d - 1):
+            if search(uncovered & ~table[a], d - 1):
                 return True
             chosen.pop()
         failed[uncovered] = d
         return False
 
-    return chosen if search(full, depth) else None
+    return chosen if search(pmask, depth) else None

@@ -14,12 +14,7 @@ from typing import Iterable, TYPE_CHECKING
 
 from bmx import kernels
 from bmx.errors import CapacityError, FormatError, UsageError
-from bmx.gf2core import (
-    MAX_DIM,
-    Subspace,
-    rank_ints,
-    rref_ints,
-)
+from bmx.gf2core import MAX_DIM, rank_ints, rref_ints
 
 if TYPE_CHECKING:
     from bmx.graphs import SimpleGraph
@@ -166,13 +161,6 @@ def delete(m: Matroid, xs: Iterable[int]) -> Matroid:
     return Matroid(m.dim, m.points - xs)
 
 
-def intersect_flat(m: Matroid, w: Subspace) -> Matroid:
-    """Points of m lying inside the subspace w; ambient dimension kept."""
-    if w.ambient != m.dim:
-        raise UsageError("subspace ambient does not match matroid dimension")
-    return Matroid(m.dim, frozenset(p for p in m.points if w.contains_int(p)))
-
-
 def recoordinatize(m: Matroid) -> Matroid:
     """Rewrite m over a reduced basis of its span, so dim becomes rank.
 
@@ -193,7 +181,12 @@ def recoordinatize(m: Matroid) -> Matroid:
 
 
 def chi(m: Matroid) -> int:
-    """Critical number: least codimension of a subspace disjoint from m.
+    """Critical number: least codimension of a subspace disjoint from m."""
+    return chi_subspace(m)[0]
+
+
+def chi_subspace(m: Matroid) -> tuple[int, tuple[int, ...]]:
+    """Critical number together with a witness set of parity functionals.
 
     Searches ascending c; at each level a branch-and-bound over parity
     functionals looks for c functionals that jointly cover every point.
@@ -201,23 +194,9 @@ def chi(m: Matroid) -> int:
     if m.dim > CHI_MAX_DIM:
         raise CapacityError(f"critical number limited to dim <= {CHI_MAX_DIM}")
     if not m.points:
-        return 0
-    pts = m.sorted_points()
-    for c in range(1, m.dim + 1):
-        if kernels.cover_exists(m.dim, pts, c) is not None:
-            return c
-    raise AssertionError("full geometry is always covered at c = dim")
-
-
-def chi_subspace(m: Matroid) -> tuple[int, tuple[int, ...]]:
-    """Critical number together with a witness set of parity functionals."""
-    if m.dim > CHI_MAX_DIM:
-        raise CapacityError(f"critical number limited to dim <= {CHI_MAX_DIM}")
-    if not m.points:
         return 0, ()
-    pts = m.sorted_points()
     for c in range(1, m.dim + 1):
-        funs = kernels.cover_exists(m.dim, pts, c)
+        funs = kernels.cover_exists(m.dim, m.mask, c)
         if funs is not None:
             return c, tuple(funs)
     raise AssertionError("full geometry is always covered at c = dim")

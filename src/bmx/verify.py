@@ -7,10 +7,12 @@ of independent exhaustive computation.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from importlib import resources
 from math import ceil, log2
 
+from bmx.errors import UsageError
 from bmx.extremal import (
     Family,
     aes_check,
@@ -33,15 +35,6 @@ class Row:
     ok: bool
     detail: str
 
-
-SUITES = (
-    "bose-burton",
-    "octahedron",
-    "cliques",
-    "critical-edge",
-    "aes",
-    "chi-log-formula",
-)
 
 # (t, n) cells: exclude PG(t,2) = pg(t+1) in dimension n
 BOSE_BURTON_CELLS = (
@@ -162,8 +155,7 @@ def suite_critical_edge(time_limit: float | None = None) -> list[Row]:
     return rows
 
 
-def suite_aes(time_limit: float | None = None) -> list[Row]:
-    del time_limit
+def suite_aes() -> list[Row]:
     ok = aes_check(4, 2)
     size, witness = aes_probe(4, 2)
     return [
@@ -175,8 +167,7 @@ def suite_aes(time_limit: float | None = None) -> list[Row]:
     ]
 
 
-def suite_chi_log_formula(time_limit: float | None = None) -> list[Row]:
-    del time_limit
+def suite_chi_log_formula() -> list[Row]:
     graphs = corpus_graphs()
     bad = []
     for i, g in enumerate(graphs):
@@ -191,18 +182,23 @@ def suite_chi_log_formula(time_limit: float | None = None) -> list[Row]:
     )]
 
 
-def run_suite(name: str, max_n: int = 5,
-              time_limit: float | None = None) -> list[Row]:
-    if name == "bose-burton":
-        return suite_bose_burton(max_n=max_n, time_limit=time_limit)
-    if name == "octahedron":
-        return suite_octahedron(time_limit=time_limit)
-    if name == "cliques":
-        return suite_cliques(time_limit=time_limit)
-    if name == "critical-edge":
-        return suite_critical_edge(time_limit=time_limit)
-    if name == "aes":
-        return suite_aes(time_limit=time_limit)
-    if name == "chi-log-formula":
-        return suite_chi_log_formula(time_limit=time_limit)
-    raise ValueError(f"unknown suite {name!r}")
+SUITES = {
+    "bose-burton": suite_bose_burton,
+    "octahedron": suite_octahedron,
+    "cliques": suite_cliques,
+    "critical-edge": suite_critical_edge,
+    "aes": suite_aes,
+    "chi-log-formula": suite_chi_log_formula,
+}
+
+
+def run_suite(name: str, **options) -> list[Row]:
+    """Run a suite with the options that are not None; an option the
+    suite does not take is a usage error, never silently ignored."""
+    suite = SUITES[name]
+    given = {k: v for k, v in options.items() if v is not None}
+    unused = sorted(set(given) - set(inspect.signature(suite).parameters))
+    if unused:
+        flags = ", ".join("--" + k.replace("_", "-") for k in unused)
+        raise UsageError(f"suite {name} does not take {flags}")
+    return suite(**given)

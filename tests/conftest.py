@@ -10,6 +10,7 @@ application.  They are slow and only used at small dimensions.
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -30,13 +31,18 @@ def naive_chi(m: Matroid) -> int:
     raise AssertionError("the zero subspace is disjoint from everything")
 
 
-def _independent_tuples(n: int, r: int, prefix: tuple[int, ...] = ()):
-    if len(prefix) == r:
-        yield prefix
-        return
-    for v in range(1, 1 << n):
-        if rank_ints(prefix + (v,)) == len(prefix) + 1:
-            yield from _independent_tuples(n, r, prefix + (v,))
+@cache
+def _independent_tuples(n: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """Every independent r-tuple of vectors of F_2^n, in lexicographic
+    order; memoised, since the oracles ask for a few (n, r) many times."""
+    if r == 0:
+        return ((),)
+    return tuple(
+        prefix + (v,)
+        for prefix in _independent_tuples(n, r - 1)
+        for v in range(1, 1 << n)
+        if rank_ints(prefix + (v,)) == r
+    )
 
 
 def _naive_images(host: Matroid, pattern: Matroid):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -11,7 +12,7 @@ import pytest
 from bmx.catalog import Catalog, entry_key, verify_certificate
 from bmx.errors import UsageError
 from bmx.extremal import Family, ex_search
-from bmx.matroid import Matroid, free, pg
+from bmx.matroid import Matroid, free, pg, to_compact
 
 
 @pytest.fixture
@@ -39,12 +40,14 @@ def test_get_missing_is_none(cat):
 
 def test_entry_key_is_isomorphism_invariant():
     tri_b = Matroid(2, frozenset({1, 2, 3}))
-    a = entry_key((pg(2),), 4, "turan")
-    b = entry_key((tri_b,), 4, "turan")
+    a = entry_key((pg(2),), 4)
+    b = entry_key((tri_b,), 4)
     assert a == b
-    assert a != entry_key((pg(2),), 5, "turan")
-    assert a != entry_key((free(2),), 4, "turan")
-    assert a != entry_key((pg(2),), 4, "other")
+    assert a != entry_key((pg(2),), 5)
+    assert a != entry_key((free(2),), 4)
+    # the query kind stays in the hashed blob, so stored keys stay valid
+    assert a == ("32cefa7186e73f38224cb40f58539c2b"
+                 "0c1ace34d9fdc9a1837e21410f04b645")
 
 
 def test_atomic_layout(cat):
@@ -126,7 +129,7 @@ def test_concurrent_writers_of_one_key(tmp_path):
             proc.kill()
     assert [proc.exitcode for proc in procs] == [0, 0, 0]
     cert = _cert()
-    entry = Catalog(root).get(entry_key(cert.family, cert.n, "turan"))
+    entry = Catalog(root).get(entry_key(cert.family, cert.n))
     assert entry is not None and entry.certificate == cert
     assert not list(root.glob("**/*.tmp"))
     assert not (root / "quarantine").exists()
@@ -138,6 +141,40 @@ def test_refuses_bad_certificate(cat):
     assert verify_certificate(bad) is not None
     with pytest.raises(UsageError):
         cat.put(bad)
+
+
+def test_entry_is_bound_to_its_family_and_n(cat):
+    # a payload whose family was swapped no longer answers its key: the
+    # old witness is still I5-free in dimension 4, so only the key check
+    # can catch it
+    tri = Family.from_matroids([pg(2)])
+    key = cat.put(_cert(4))
+    path = cat.root / key[:2] / key[2:4] / f"{key}.json"
+    d = json.loads(path.read_text())
+    d["payload"]["family"] = [to_compact(free(5))]
+    path.write_text(json.dumps(d))
+    assert cat.lookup(tri, 4) is None
+    assert (cat.root / "quarantine" / f"{key}.json").is_file()
+    reason = (cat.root / "quarantine" / f"{key}.reason").read_text()
+    assert "family and n" in reason
+
+
+def test_uncertified_entries_are_refused(cat):
+    fam = Family.from_matroids([pg(2)])
+    cert = _cert(4)
+    uncertified = dataclasses.replace(cert, certified=False)
+    assert verify_certificate(uncertified) is not None
+    with pytest.raises(UsageError):
+        cat.put(uncertified)
+    assert cat.lookup(fam, 4) is None
+    # nor is one served when the stored flag reads false
+    key = cat.put(cert)
+    path = cat.root / key[:2] / key[2:4] / f"{key}.json"
+    d = json.loads(path.read_text())
+    d["payload"]["certified"] = False
+    path.write_text(json.dumps(d))
+    assert cat.lookup(fam, 4) is None
+    assert (cat.root / "quarantine" / f"{key}.json").is_file()
 
 
 def test_env_var_root(tmp_path, monkeypatch):

@@ -180,3 +180,15 @@ def test_verify_bose_burton_small(capsys):
     code, out = invoke(capsys, "verify", "bose-burton", "--max-n", "3")
     assert code == 0
     assert "RESULT PASS" in out
+
+
+def test_verify_rejects_options_a_suite_does_not_take(capsys):
+    # an option is used or refused, never accepted and then ignored
+    for argv in (["aes", "--time-limit", "5"],
+                 ["chi-log-formula", "--max-n", "3"],
+                 ["octahedron", "--max-n", "3"]):
+        assert run(["verify", *argv]) == 2, argv
+        assert "does not take" in capsys.readouterr().err
+    code, out = invoke(capsys, "verify", "bose-burton", "--max-n", "2",
+                       "--time-limit", "10")
+    assert code == 0 and "RESULT PASS (1/1)" in out

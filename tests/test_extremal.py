@@ -21,7 +21,7 @@ from bmx.extremal import (
     maintech_rhs,
     nearest_bose_burton,
 )
-from bmx.gf2core import enumerate_codim_subspaces
+from bmx.gf2core import enumerate_subspaces
 from bmx.graphs import SimpleGraph
 from bmx.matroid import (
     Matroid,
@@ -223,7 +223,7 @@ def test_decomposition_invariants():
         for d in dfam.members:
             witnessed = False
             for src in fam.members:
-                for w in enumerate_codim_subspaces(src.dim, k):
+                for w in enumerate_subspaces(src.dim, src.dim - k):
                     sl = frozenset(p for p in src.points if w.contains_int(p))
                     if isomorphic(recoordinatize(Matroid(src.dim, sl)), d):
                         if chi(delete(src, sl)) <= k:
@@ -317,7 +317,7 @@ def test_nearest_bb_ag5_exhaustive():
     best = min(
         len(m.points ^ frozenset(
             p for p in range(1, 32) if not w.contains_int(p)))
-        for w in enumerate_codim_subspaces(5, 1)
+        for w in enumerate_subspaces(5, 4)
     )
     assert rep.distance == best == 0  # ag(5) is a hyperplane complement
 

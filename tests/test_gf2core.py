@@ -10,30 +10,25 @@ from hypothesis import strategies as st
 
 from bmx.errors import UsageError
 from bmx.gf2core import (
-    Gf2Vector,
     LinearMap,
-    Subspace,
     coords_in_basis,
-    dot,
-    enumerate_codim_subspaces,
     enumerate_subspaces,
     gaussian_binomial,
-    nullspace_ints,
+    parity_masks,
     rank_ints,
-    rank_of_set,
-    reduce,
     reduce_against,
     rref_ints,
-    span_elements,
 )
 
 vectors4 = st.integers(min_value=0, max_value=15)
 
 
-def test_dot_examples():
-    assert dot(0b101, 0b001) == 1
-    assert dot(0b101, 0b010) == 0
-    assert dot(0b111, 0b111) == 1  # three shared coordinates
+def _span(vs):
+    """Every sum of a subset of vs, by brute force."""
+    out = {0}
+    for v in vs:
+        out |= {x ^ v for x in out}
+    return out
 
 
 @given(st.lists(vectors4, max_size=8))
@@ -52,10 +47,7 @@ def test_rank_matches_rref(vs):
 @given(st.lists(vectors4, max_size=8), vectors4)
 def test_reduce_against_membership(vs, v):
     basis, pivots = rref_ints(vs)
-    in_span = any(
-        v == x for x in span_elements(basis)
-    )
-    assert (reduce_against(basis, pivots, v) == 0) == in_span
+    assert (reduce_against(basis, pivots, v) == 0) == (v in _span(vs))
 
 
 @given(st.lists(vectors4, min_size=1, max_size=6), vectors4)
@@ -76,42 +68,33 @@ def test_coords_in_basis_roundtrip(vs, v):
 def test_subspace_enumeration_count(n, k):
     subs = list(enumerate_subspaces(n, k))
     assert len(subs) == gaussian_binomial(n, k)
-    # pairwise distinct element sets
-    seen = {frozenset(w.elements()) for w in subs}
-    assert len(seen) == len(subs)
-    for w in subs:
+    # pairwise distinct element sets, each the span of the basis
+    members = [frozenset(v for v in range(1 << n) if w.contains_int(v))
+               for w in subs]
+    assert len(set(members)) == len(subs)
+    for w, elems in zip(subs, members):
         assert w.dim == k
-        assert len(set(w.elements())) == 1 << k
+        assert elems == _span(w.basis)
+        assert len(elems) == 1 << k
 
 
 @pytest.mark.parametrize("n,c", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 2)])
 def test_codim_enumeration(n, c):
-    subs = list(enumerate_codim_subspaces(n, c))
-    assert len(subs) == gaussian_binomial(n, c)
-    for w in subs:
-        assert w.codim == c
-        assert w.functionals is not None and len(w.functionals) == c
-        for v in w.elements():
-            assert all(dot(a, v) == 0 for a in w.functionals)
-
-
-def test_nullspace_is_orthogonal_complement():
-    rows = [0b0111, 0b1001]
-    basis, _ = nullspace_ints(rows, 4)
-    assert len(basis) == 4 - rank_ints(rows)
-    for b in basis:
-        assert all(dot(a, b) == 0 for a in rows)
-
-
-def test_gf2vector_ops():
-    a = Gf2Vector(0b101, 3)
-    b = Gf2Vector(0b011, 3)
-    assert (a ^ b).bits == 0b110
-    assert a.coord(1) == 1 and a.coord(2) == 0
-    with pytest.raises(UsageError):
-        Gf2Vector(0b1000, 3)
-    with pytest.raises(UsageError):
-        a ^ Gf2Vector(1, 2)
+    # the kernels of the c-dimensional dual spaces are the codimension-c
+    # subspaces, each once; the points outside are the OR of parity masks
+    masks = parity_masks(n)
+    kernels = set()
+    for dual in enumerate_subspaces(n, c):
+        outside = 0
+        for a in dual.basis:
+            outside |= masks[a]
+        kernel = frozenset(p for p in range(1, 1 << n)
+                           if not outside >> (p - 1) & 1)
+        assert all((a & p).bit_count() % 2 == 0
+                   for a in dual.basis for p in kernel)
+        assert len(kernel) == (1 << (n - c)) - 1
+        kernels.add(kernel)
+    assert len(kernels) == gaussian_binomial(n, c)
 
 
 def test_linear_map():
@@ -123,22 +106,27 @@ def test_linear_map():
         LinearMap(2, 2, (1,))
 
 
-def test_reduce_and_rank_of_set():
-    vs = [Gf2Vector(0b011, 3), Gf2Vector(0b101, 3), Gf2Vector(0b110, 3)]
-    assert rank_of_set(vs) == 2
-    w = reduce(vs)
-    assert w.dim == 2
-    assert w.contains(Gf2Vector(0b110, 3))
-    with pytest.raises(UsageError):
-        reduce([])
-    assert reduce([], ambient=3).dim == 0
+def test_parity_masks_match_brute_force():
+    for n in range(6):
+        masks = parity_masks(n)
+        assert len(masks) == 1 << n
+        for a in range(1 << n):
+            want = 0
+            for p in range(1, 1 << n):
+                if sum((a >> i) & (p >> i) & 1 for i in range(n)) % 2:
+                    want |= 1 << (p - 1)
+            assert masks[a] == want, (n, a)
+    assert parity_masks(4) is parity_masks(4)  # built once per n
 
 
-def test_subspace_element_mask():
-    w = next(iter(enumerate_subspaces(3, 2)))
-    mask = w.element_mask
-    for p in range(1, 8):
-        assert bool((mask >> (p - 1)) & 1) == w.contains_int(p)
+def test_parity_masks_complement_hyperplanes():
+    # the points a functional does not see form the hyperplane ker(a)
+    for w in enumerate_subspaces(3, 2):
+        a = next(a for a in range(1, 8)
+                 if all((a & b).bit_count() % 2 == 0 for b in w.basis))
+        outside = parity_masks(3)[a]
+        for p in range(1, 8):
+            assert bool((outside >> (p - 1)) & 1) != w.contains_int(p)
 
 
 @given(st.integers(0, 8), st.integers(0, 8))

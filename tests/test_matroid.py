@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmx.errors import CapacityError, FormatError, UsageError
-from bmx.gf2core import enumerate_codim_subspaces, enumerate_subspaces
+from bmx.gf2core import enumerate_subspaces, parity_masks
 from bmx.graphs import SimpleGraph
 from bmx.matroid import (
     LiftSpec,
@@ -24,7 +24,6 @@ from bmx.matroid import (
     from_bm1,
     from_compact,
     graphic,
-    intersect_flat,
     lift,
     pg,
     recoordinatize,
@@ -117,17 +116,20 @@ def test_lift():
         LiftSpec(pg(3), 4, 2)
 
 
-def test_delete_and_intersect_flat():
+def test_delete_and_flat_slice():
     tri = pg(2)
     assert delete(tri, {3}).points == {1, 2}
     assert delete(tri, set()).points == tri.points
     with pytest.raises(UsageError):
         delete(tri, {3, 4})
-    w = next(w for w in enumerate_subspaces(3, 2))
-    line = intersect_flat(pg(3), w)
-    assert line.size == 3 and line.dim == 3
-    with pytest.raises(UsageError):
-        intersect_flat(pg(3), next(iter(enumerate_subspaces(4, 2))))
+    # the slice of the Fano plane by a hyperplane, as the decomposition
+    # family takes it, is the line of points the hyperplane contains
+    for dual in enumerate_subspaces(3, 1):
+        (a,) = dual.basis
+        line = Matroid.from_mask(3, pg(3).mask & ~parity_masks(3)[a])
+        assert line.size == 3 and line.dim == 3
+        assert line.points == {p for p in range(1, 8)
+                               if (a & p).bit_count() % 2 == 0}
 
 
 def test_recoordinatize():
