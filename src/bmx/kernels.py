@@ -1,10 +1,13 @@
 """Search kernels.
 
-These are the hot inner loops: canonical-form backtracking, one
-embedding enumerator behind both containment and copy counting, and the
-parity-functional covering search behind the critical number, which
-works on the point bitset through ``gf2core.parity_masks``.  They are
-plain Python; there is no compiled variant.
+These are the hot inner loops: canonical-form backtracking, which skips
+branches that an automorphism of the matroid maps onto explored ones
+(automorphisms of a span it can see at once, and those it finds as pairs
+of equal leaves), one embedding enumerator behind both containment and
+copy counting, and the parity-functional covering search behind the
+critical number, which works on the point bitset through
+``gf2core.parity_masks``.  They are plain Python; there is no compiled
+variant.
 
 All inputs are primitive: vectors are ints, point sets are characteristic
 bitsets (bit p-1 set iff point p is present).
@@ -26,46 +29,124 @@ def canon_mask(n: int, pmask: int) -> int:
     Minimizes the characteristic bitstring (index 1 first) of h(M) over
     invertible h, by assigning h on e_1..e_n level by level.  Level k
     fixes string positions 2^(k-1)..2^k-1 exactly, so sibling branches
-    compare on equal terms and only locally-minimal segments recurse.
+    compare on equal terms and only locally-minimal segments recurse.  A
+    segment is found bit by bit on bitsets: ``tr[a]`` holds the vectors v
+    with v + a in M, and each position keeps the candidates that read 0
+    there, if any do.
+
+    Two tied siblings in one orbit of the automorphisms of M that fix the
+    assigned prefix pointwise lead to the same least string, since such
+    an automorphism carries one subtree's leaves onto the other's with
+    equal strings.  So a tied candidate is skipped when it lies in the
+    orbit of an explored sibling, with orbits from two sources:
+
+    - (a) Let M' be the smaller of M and its complement and T the span of
+      the prefix and M'.  Every invertible map that fixes T pointwise
+      keeps M' and so M, and such maps carry any vector outside T to any
+      other; one candidate outside T stands for all of them.
+    - (b) Two leaves h*, h' with equal strings give the automorphism
+      g = h' h*^-1 of M (McKay & Piperno, "Practical graph isomorphism
+      II", 2014).  The reference leaf h* is the first leaf since ``best``
+      last changed, so every later leaf that is reached equals it.  A
+      node closes its explored siblings under the generators that fix
+      its prefix.  And g fixes the prefix that h' shares with h* and
+      maps the branch of h* below it onto the branch of h', so the
+      search returns to the node where the two paths part.
     """
     total = (1 << n) - 1
-    if pmask == 0 or pmask == (1 << total) - 1:
+    full = (1 << total) - 1
+    if pmask == 0 or pmask == full:
         return pmask
-    img = [0] * (1 << n)
-    best = [-1] * (n + 1)
+    # inside, bit x of a bitset stands for vector x, and bit 0 for zero
+    size = 1 << n
+    lows = [((1 << size) - 1) // ((1 << 2 * s) - 1) * ((1 << s) - 1)
+            for s in (1 << i for i in range(n))]
 
-    def level(k: int, span_mask: int) -> None:
+    def shift(bits: int, v: int) -> int:
+        # {x ^ v : x in bits}; XOR with 2^i swaps the halves of every
+        # block of 2^(i+1) bits, and lows[i] marks the lower halves
+        for i, low in enumerate(lows):
+            if v >> i & 1:
+                s = 1 << i
+                bits = (bits & low) << s | (bits >> s) & low
+        return bits
+
+    pm = pmask << 1
+    tr = [shift(pm, a) for a in range(size)]
+    small = pm if 2 * pmask.bit_count() <= total else (full << 1) ^ pm
+    t0 = 1  # span(M')
+    for p in range(1, size):
+        if small >> p & 1:
+            t0 |= shift(t0, p)
+    img = [0] * size
+    best = [-1] * (n + 1)
+    gens: list[list[int]] = []  # automorphisms of M, as lookup tables
+    ref: list[int] | None = None  # the reference leaf h*
+
+    def level(k: int, span: int, t: int) -> int:
+        # returns the level to go back to, or 0 to go on as usual
+        nonlocal ref
         m = 1 << (k - 1)
-        locmin = -1
-        cands: list[tuple[int, int]] = []
-        for v in range(1, total + 1):
-            if (span_mask >> (v - 1)) & 1:
-                continue
-            seg = 0
-            for j in range(m):
-                seg = (seg << 1) | ((pmask >> ((v ^ img[j]) - 1)) & 1)
-            if locmin < 0 or seg < locmin:
-                locmin = seg
-                cands = [(v, seg)]
-            elif seg == locmin:
-                cands.append((v, seg))
-        if best[k] >= 0 and locmin > best[k]:
-            return
-        if best[k] < 0 or locmin < best[k]:
-            best[k] = locmin
+        cands = ((1 << size) - 1) & ~span
+        seg = 0
+        bound = best[k]
+        for j in range(m):
+            seg <<= 1
+            zero = cands & ~tr[img[j]]
+            if zero:
+                cands = zero
+            else:
+                seg |= 1
+                if bound >= 0 and seg > bound >> (m - 1 - j):
+                    return 0
+        if bound < 0 or seg < bound:
+            best[k] = seg
             for kk in range(k + 1, n + 1):
                 best[kk] = -1
-        for v, _seg in cands:
-            new_span = span_mask
-            for j in range(m):
-                w = v ^ img[j]
-                img[m + j] = w
-                new_span |= 1 << (w - 1)
+            ref = None
+        fixed = [img[1 << i] for i in range(k - 1)]
+        stab: list[list[int]] = []  # the generators that fix the prefix
+        tried = 0  # gens[:tried] were filtered into stab
+        orbit: list[int] = []  # explored siblings and their images
+        seen = 0  # the same, as a bitset
+        outside = False  # an explored sibling lies outside T
+        while cands:
+            v = (cands & -cands).bit_length() - 1
+            cands &= cands - 1
+            if tried < len(gens):
+                stab += [g for g in gens[tried:]
+                         if all(g[b] == b for b in fixed)]
+                tried = len(gens)
+                seen = _close(orbit, seen, 0, stab)
+            if seen >> v & 1:
+                continue
+            if not t >> v & 1:
+                if outside:
+                    continue
+                outside = True
+            img[m:2 * m] = [v ^ w for w in img[:m]]
             if k < n:
-                level(k + 1, new_span)
-            # img slots above m are overwritten by the next sibling
+                back = level(k + 1, span | shift(span, v),
+                             t if t >> v & 1 else t | shift(t, v))
+                if back and back < k:
+                    return back
+            elif ref is None:
+                ref = img[:]
+            else:
+                g = [0] * size
+                for x, y in zip(ref, img):
+                    g[x] = y
+                gens.append(g)
+                back = 1
+                while img[1 << (back - 1)] == ref[1 << (back - 1)]:
+                    back += 1
+                if back < k:
+                    return back
+            orbit.append(v)
+            seen = _close(orbit, seen | 1 << v, len(orbit) - 1, stab)
+        return 0
 
-    level(1, 0)
+    level(1, 1, t0)
     out = 0
     for k in range(1, n + 1):
         m = 1 << (k - 1)
@@ -74,6 +155,22 @@ def canon_mask(n: int, pmask: int) -> int:
             if (seg >> (m - 1 - j)) & 1:
                 out |= 1 << (m + j - 1)
     return out
+
+
+def _close(members: list[int], bits: int, start: int,
+           gens: list[list[int]]) -> int:
+    """Close ``members`` (also the bitset ``bits``) under ``gens``, which
+    are applied to members[start:] and to every new member."""
+    i = start
+    while i < len(members):
+        x = members[i]
+        i += 1
+        for g in gens:
+            y = g[x]
+            if not bits >> y & 1:
+                bits |= 1 << y
+                members.append(y)
+    return bits
 
 
 def _embeddings(host_pts: Sequence[int], host_mask: int,

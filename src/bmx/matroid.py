@@ -190,12 +190,16 @@ def chi_subspace(m: Matroid) -> tuple[int, tuple[int, ...]]:
 
     Searches ascending c; at each level a branch-and-bound over parity
     functionals looks for c functionals that jointly cover every point.
+    The search starts at the counting bound: a codimension-c subspace
+    that misses m has 2^(n-c) - 1 points, all among the 2^n - 1 - |m|
+    points outside m.
     """
     if m.dim > CHI_MAX_DIM:
         raise CapacityError(f"critical number limited to dim <= {CHI_MAX_DIM}")
     if not m.points:
         return 0, ()
-    for c in range(1, m.dim + 1):
+    free = (1 << m.dim) - len(m.points)
+    for c in range(max(1, m.dim - free.bit_length() + 1), m.dim + 1):
         funs = kernels.cover_exists(m.dim, m.mask, c)
         if funs is not None:
             return c, tuple(funs)

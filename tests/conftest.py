@@ -10,6 +10,8 @@ application.  They are slow and only used at small dimensions.
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 from functools import cache
 from itertools import combinations
 
@@ -115,6 +117,36 @@ def naive_isomorphic(a: Matroid, b: Matroid) -> bool:
         if frozenset(table[p] for p in a.points) == bpts:
             return True
     return False
+
+
+def random_gl(rng: random.Random, n: int) -> list[int]:
+    """A random invertible map of F_2^n as a lookup table over 0..2^n-1."""
+    while True:
+        cols = [rng.randrange(1, 1 << n) for _ in range(n)]
+        if rank_ints(cols) == n:
+            break
+    table = [0] * (1 << n)
+    for v in range(1, 1 << n):
+        i = (v & -v).bit_length() - 1
+        table[v] = table[v & (v - 1)] ^ cols[i]
+    return table
+
+
+@contextmanager
+def time_budget(seconds: float):
+    """Fail the enclosed block once it has run for ``seconds`` of wall
+    time, so that a search that got slow fails the suite instead of
+    hanging it.  Built on SIGALRM (main thread, POSIX only)."""
+    def expired(signum, frame):
+        pytest.fail(f"over its {seconds} s time budget")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_matroid(rng: random.Random, n: int, density: float = 0.5) -> Matroid:

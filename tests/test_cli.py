@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from bmx.cli import run
-from bmx.matroid import bb, from_bm1, pg, to_bm1, to_compact
+from bmx.matroid import Matroid, bb, from_bm1, pg, to_bm1, to_compact
+from conftest import random_gl, time_budget
 
 
 def invoke(capsys, *argv):
@@ -73,6 +75,20 @@ def test_contains_and_iso_exit_codes(capsys, tri_file, fano_file):
     assert code == 1 and out.strip() == "false"
     assert invoke(capsys, "iso", tri_file, tri_file)[0] == 0
     assert invoke(capsys, "iso", tri_file, fano_file)[0] == 1
+
+
+def test_iso_of_sparse_dim6_images(capsys, tmp_path):
+    rng = random.Random(6)
+    pts = rng.sample(range(1, 64), 3)
+    paths = []
+    for i in range(2):
+        table = random_gl(rng, 6)
+        p = tmp_path / f"m{i}.bm1"
+        p.write_text(to_bm1(Matroid(6, frozenset(table[x] for x in pts))))
+        paths.append(str(p))
+    with time_budget(10):
+        code, out = invoke(capsys, "iso", *paths)
+    assert code == 0 and out.strip() == "true"
 
 
 def test_canon_and_count(capsys, tri_file, fano_file):

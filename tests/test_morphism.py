@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bmx import kernels
 from bmx.errors import CapacityError
-from bmx.matroid import Matroid, ag, bb, circuit, delete, free, pg
+from bmx.matroid import Matroid, ag, bb, circuit, delete, free, from_compact, pg
 from bmx.morphism import (
     canonical_key,
     contains,
@@ -19,10 +20,14 @@ from bmx.morphism import (
     isomorphic,
 )
 from conftest import (
+    _GL_CACHE,
+    gl_maps,
     naive_contains,
     naive_count_restrictions,
     naive_isomorphic,
+    random_gl,
     random_matroid,
+    time_budget,
 )
 
 
@@ -134,7 +139,6 @@ def test_canonical_key_partitions_dim3_like_isomorphism():
 @given(st.integers(1, 4), st.data())
 @settings(max_examples=80, deadline=None)
 def test_canonical_key_is_gl_invariant(n, data):
-    from conftest import gl_maps, _GL_CACHE
     pts = frozenset(data.draw(st.sets(st.integers(1, (1 << n) - 1))))
     m = Matroid(n, pts)
     if n not in _GL_CACHE:
@@ -145,6 +149,86 @@ def test_canonical_key_is_gl_invariant(n, data):
     # the canonical representative is itself in the orbit with the same key
     rep = canonical_key(m).matroid()
     assert canonical_key(rep) == canonical_key(m)
+
+
+def _lexmin_mask(n: int, pts, maps) -> int:
+    """The least characteristic string (index 1 first) of h(M) over the
+    given maps h, as a bitset."""
+    total = (1 << n) - 1
+    best = min("".join("1" if i in image else "0" for i in range(1, total + 1))
+               for image in ({table[p] for p in pts} for table in maps))
+    return sum(1 << i for i, ch in enumerate(best) if ch == "1")
+
+
+def _points(mask: int) -> frozenset[int]:
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def test_canon_mask_is_the_brute_force_lexmin():
+    # every mask of dimension 3; in dimension 4 sparse sets (a point, two,
+    # a triangle, three and four independent points), their complements
+    # and two random sets
+    sparse = [0b1, 0b11, 0b111, 0b1011, 0b100000000010110]
+    rng = random.Random(44)
+    dim4 = sparse + [((1 << 15) - 1) ^ m for m in sparse]
+    dim4 += [rng.getrandbits(15) for _ in range(2)]
+    with time_budget(10):
+        for n, masks in ((3, range(128)), (4, dim4)):
+            if n not in _GL_CACHE:
+                _GL_CACHE[n] = gl_maps(n)
+            for mask in masks:
+                assert kernels.canon_mask(n, mask) == \
+                    _lexmin_mask(n, _points(mask), _GL_CACHE[n]), mask
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_sparse_and_cosparse_canonical_forms(n):
+    # any one point, or any two, can be sent to the last positions, and
+    # the missing points of a complement to the first ones
+    total = (1 << n) - 1
+    rng = random.Random(n)
+    with time_budget(10):
+        for k, last in ((1, {total}), (2, {total - 1, total})):
+            pts = frozenset(rng.sample(range(1, total + 1), k))
+            key = canonical_key(Matroid(n, pts))
+            assert key.matroid().points == last
+            rest = frozenset(range(1, total + 1))
+            key = canonical_key(Matroid(n, rest - pts))
+            assert key.matroid().points == rest - set(range(1, k + 1))
+
+
+def test_two_point_dim6_key_is_pinned():
+    with time_budget(10):
+        m = from_compact("bm:6:0080000008000000")
+        assert m.points == {16, 36}
+        assert canonical_key(m).bits == "0" * 61 + "11"
+
+
+def test_sparse_dim6_images_share_a_key():
+    rng = random.Random(61)
+    with time_budget(10):
+        for k in (1, 2, 3, 4):
+            m = Matroid(6, frozenset(rng.sample(range(1, 64), k)))
+            key = canonical_key(m)
+            for _ in range(2):
+                table = random_gl(rng, 6)
+                image = Matroid(6, frozenset(table[p] for p in m.points))
+                assert canonical_key(image) == key
+            assert key.matroid().size == k
+
+
+def test_cosparse_dim5_images_share_a_key():
+    rng = random.Random(51)
+    with time_budget(10):
+        for k in (1, 2, 3, 4):
+            missing = rng.sample(range(1, 32), k)
+            m = Matroid(5, frozenset(range(1, 32)) - frozenset(missing))
+            key = canonical_key(m)
+            for _ in range(2):
+                table = random_gl(rng, 5)
+                image = Matroid(5, frozenset(table[p] for p in m.points))
+                assert canonical_key(image) == key
+            assert key.matroid().size == 31 - k
 
 
 def test_canonical_key_capacity():
