@@ -103,9 +103,17 @@ class TuranCertificate:
 _EX_MAX_COPIES = 5_000_000
 
 
-def _all_copies(family: Family, n: int) -> list[int]:
+def _all_copies(family: Family, n: int,
+                deadline: float | None = None) -> list[int]:
     """Point-set bitsets of every forbidden restriction inside the full
-    geometry, sorted ascending by size then value."""
+    geometry, sorted ascending by size then value.
+
+    The enumerator yields each copy of a member once, so the limits are
+    checked as copies arrive, without waiting for a member's enumeration
+    to end: TimeoutError once ``time.monotonic()`` passes ``deadline``,
+    and CapacityError once the members so far have more than
+    ``_EX_MAX_COPIES`` copies.
+    """
     host_pts = range(1, 1 << n)
     host_mask = (1 << ((1 << n) - 1)) - 1
     copies: set[int] = set()
@@ -113,10 +121,9 @@ def _all_copies(family: Family, n: int) -> list[int]:
         if m.dim > n:
             continue
         sched = _schedule_cached(m.dim, m.mask)
-        copies |= kernels.all_embedding_images(host_pts, host_mask,
-                                               sched.checks)
-        if len(copies) > _EX_MAX_COPIES:
-            raise CapacityError("too many forbidden restrictions to index")
+        copies.update(kernels.all_embedding_images(
+            host_pts, host_mask, sched.checks, sched.bounds,
+            deadline=deadline, limit=_EX_MAX_COPIES - len(copies)))
     return sorted(copies, key=lambda c: (c.bit_count(), c))
 
 
@@ -225,7 +232,10 @@ def ex_search(family: Family, n: int,
     bite: with e1 protected, the triangles through e1 pair up the other
     points, so ex({PG(1,2)}, n) is certified at the second node.
 
-    ``nodes`` counts the search nodes that passed the size test.
+    ``nodes`` counts the search nodes that passed the size test.  The
+    deadline also holds while the copies are indexed: if it passes there,
+    the certificate is uncertified, with value 0, an empty witness and 0
+    nodes.
     """
     if not 0 <= n <= EX_MAX_DIM:
         raise CapacityError(f"exact search limited to n <= {EX_MAX_DIM}")
@@ -233,7 +243,14 @@ def ex_search(family: Family, n: int,
     deadline = start + time_limit if time_limit is not None else None
     total = (1 << n) - 1
     all_mask = (1 << total) - 1
-    copies = _all_copies(family, n)
+    try:
+        copies = _all_copies(family, n, deadline)
+    except TimeoutError:
+        return TuranCertificate(
+            family=family.members, n=n, value=0,
+            witness=Matroid.from_mask(n, 0), method="branch-bound",
+            certified=False, nodes=0,
+            elapsed_ms=int((time.monotonic() - start) * 1000))
     inc = _incidence(copies, total)
     best_mask = _greedy_free(inc)
     best = best_mask.bit_count()

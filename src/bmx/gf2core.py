@@ -129,10 +129,6 @@ class LinearMap:
     def is_injective(self) -> bool:
         return rank_ints(self.images) == self.domain_dim
 
-    @staticmethod
-    def identity(n: int) -> "LinearMap":
-        return LinearMap(n, n, tuple(1 << i for i in range(n)))
-
 
 def enumerate_subspaces(n: int, k: int) -> Iterator[Subspace]:
     """All k-dimensional subspaces of F_2^n, each exactly once.

@@ -6,8 +6,11 @@ branches that an automorphism of the matroid maps onto explored ones
 of equal leaves), one embedding enumerator behind both containment and
 copy counting, and the parity-functional covering search behind the
 critical number, which works on the point bitset through
-``gf2core.parity_masks``.  They are plain Python; there is no compiled
-variant.
+``gf2core.parity_masks``.  The enumerator visits each copy of a pattern
+once: it keeps only the least basis-image tuple of each orbit of the
+pattern's automorphism group, checking it against the basic orbits of a
+stabiliser chain as the closure checks fix each point (see
+``_embeddings``).  They are plain Python; there is no compiled variant.
 
 All inputs are primitive: vectors are ints, point sets are characteristic
 bitsets (bit p-1 set iff point p is present).
@@ -15,8 +18,11 @@ bitsets (bit p-1 set iff point p is present).
 
 from __future__ import annotations
 
+import time
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 
+from bmx.errors import CapacityError
 from bmx.gf2core import parity_masks
 
 # the benchmark harness (perfbench/worker.py) prints it with every result
@@ -173,18 +179,42 @@ def _close(members: list[int], bits: int, start: int,
     return bits
 
 
-def _embeddings(host_pts: Sequence[int], host_mask: int,
-                checks: Sequence[Sequence[int]], injective: bool,
+def _embeddings(cands: Sequence[Sequence[int]], host_mask: int,
+                checks: Sequence[Sequence[int]],
+                bounds: Sequence[Sequence[int]],
                 imgs: list[int]) -> Iterator[int]:
-    """Yield the image point set (a bitset) of every embedding.
+    """Yield the image point set (a bitset) of every injective embedding
+    whose basis-image tuple is the least in its orbit under Aut(N).
 
-    Slot j takes images v from ``host_pts``; ``checks[j]`` lists the
-    coefficient masks (over basis slots 0..j, bit j always set) of the
-    pattern points that slot j closes, and each such point must land on
-    a host point.  Every pattern point is closed by exactly one slot, so
-    a copy's image is built level by level from the closure checks.
-    With ``injective`` the images must stay linearly independent.  At
-    each yield ``imgs`` holds the basis images.
+    Slot j takes images v, in ascending order, from ``cands[j]``;
+    ``checks[j]`` lists the coefficient masks (over basis slots 0..j, bit
+    j always set) of the pattern points that slot j closes, and each such
+    point must land on a host point.  Every pattern point is closed by
+    exactly one slot, so a copy's image is built level by level from the
+    closure checks, and the images stay linearly independent.  At each
+    yield ``imgs`` holds the basis images.
+
+    Lex-leader rule.  Let b_j = 1 << j be the basis in slot coordinates
+    and O_j the orbit of b_j under the automorphisms of N that fix
+    b_0..b_{j-1} pointwise.  ``bounds[j][k]`` is the bitset of the slots
+    i with x in O_i - {b_i}, for the point x that ``checks[j][k]``
+    closes.  An embedding phi is kept iff phi(b_i) < phi(x) for all such
+    i and x, and the kept ones are exactly the least tuple
+    (phi(b_0), ..., phi(b_{r-1})) of each orbit {phi s : s in Aut(N)}:
+
+    - If phi is least and x = s(b_i) != b_i with s fixing b_0..b_{i-1},
+      then phi s agrees with phi before position i and has phi(x) at
+      position i, so phi(b_i) <= phi(x), and phi(b_i) != phi(x) since
+      phi is injective.
+    - Conversely, let phi pass and s be in Aut(N) with phi s != phi.  At
+      the first position i where the tuples differ, phi(s(b_h)) =
+      phi(b_h) for h < i gives s(b_h) = b_h by injectivity, so x =
+      s(b_i) lies in O_i - {b_i}, and phi s is larger at position i.
+
+    Two embeddings with the same image differ by an automorphism of N,
+    so every copy of N is yielded exactly once.  A point of O_i lies
+    outside span(b_0..b_{i-1}), so it is closed at slot i or later, when
+    imgs[i] is known.
     """
     r = len(checks)
     if r == 0:
@@ -192,20 +222,41 @@ def _embeddings(host_pts: Sequence[int], host_mask: int,
         return
     # inside, bit x of a bitset stands for vector x, and bit 0 for zero
     hm = host_mask << 1
-    lows = [[c ^ (1 << j) for c in cs if c != 1 << j]
-            for j, cs in enumerate(checks)]
+    own = [0] * r  # own[j]: the slots bounding the basis point b_j
+    lows: list[list[tuple[int, int]]] = [[] for _ in range(r)]
+    for j, (cs, bs) in enumerate(zip(checks, bounds)):
+        for c, b in zip(cs, bs):
+            if c == 1 << j:
+                own[j] = b
+            else:
+                lows[j].append((c ^ (1 << j), b))
     span = [0]  # span[c]: the sum of imgs[i] over the bits i of c
 
+    def floor(slots: int) -> int:
+        # the largest imgs[i] over the bits i of slots, or 0
+        lo = 0
+        while slots:
+            low = slots & -slots
+            slots ^= low
+            lo = max(lo, imgs[low.bit_length() - 1])
+        return lo
+
     def level(j: int, image: int, blocked: int) -> Iterator[int]:
-        ts = [span[low] for low in lows[j]]
+        # a closed point x = v ^ t must exceed lb, and also v where top
+        # is the top bit of t: x > v iff v lacks that bit
+        earlier = (1 << j) - 1
+        ts = [(span[low], floor(b & earlier),
+               1 << span[low].bit_length() - 1 if b >> j & 1 else 0)
+              for low, b in lows[j]]
         last = j + 1 == r
-        for v in host_pts:
+        pts = cands[j]
+        for v in pts[bisect_right(pts, floor(own[j])):]:
             if blocked >> v & 1:
                 continue
             img = image | 1 << v
-            for t in ts:
+            for t, lb, top in ts:
                 x = v ^ t
-                if not hm >> x & 1:
+                if not hm >> x & 1 or x <= lb or v & top:
                     break
                 img |= 1 << x
             else:
@@ -216,33 +267,56 @@ def _embeddings(host_pts: Sequence[int], host_mask: int,
                 size = len(span)
                 span.extend([v ^ s for s in span])
                 inner = blocked
-                if injective:
-                    for w in span[size:]:
-                        inner |= 1 << w
+                for w in span[size:]:
+                    inner |= 1 << w
                 yield from level(j + 1, img, inner)
                 del span[size:]
 
-    yield from level(0, 0, 1 if injective else 0)
+    yield from level(0, 0, 1)
 
 
 def find_embedding(host_pts: Sequence[int], host_mask: int,
                    checks: Sequence[Sequence[int]],
-                   injective: bool) -> list[int] | None:
-    """Images of the pattern basis under the first embedding into the
-    host point set, or None.  Without ``injective`` the map need only
-    send every pattern point to a host point."""
+                   bounds: Sequence[Sequence[int]]) -> list[int] | None:
+    """Images of the pattern basis under the first injective embedding
+    into the host point set, or None.  The first is the least basis-image
+    tuple of all, which is the least of its orbit, so the lex-leader rule
+    of ``_embeddings`` never skips it."""
     imgs = [0] * len(checks)
-    for _image in _embeddings(host_pts, host_mask, checks, injective, imgs):
+    for _image in _embeddings([host_pts] * len(checks), host_mask, checks,
+                              bounds, imgs):
         return imgs
     return None
 
 
+# the deadline and the copy limit are checked once per this many images
+_CHECK_EVERY = 1024
+
+
 def all_embedding_images(host_pts: Sequence[int], host_mask: int,
-                         checks: Sequence[Sequence[int]]) -> set[int]:
-    """Distinct image point sets (as bitsets) over all injective
-    embeddings."""
-    return set(_embeddings(host_pts, host_mask, checks, True,
-                           [0] * len(checks)))
+                         checks: Sequence[Sequence[int]],
+                         bounds: Sequence[Sequence[int]],
+                         deadline: float | None = None,
+                         limit: int | None = None) -> list[int]:
+    """Image point sets (as bitsets) of the injective embeddings, each
+    copy of the pattern once.
+
+    Every ``_CHECK_EVERY`` images, raises TimeoutError once
+    ``time.monotonic()`` has passed ``deadline``, and CapacityError once
+    there are more than ``limit`` images.
+    """
+    out: list[int] = []
+    for image in _embeddings([host_pts] * len(checks), host_mask, checks,
+                             bounds, [0] * len(checks)):
+        out.append(image)
+        if len(out) % _CHECK_EVERY == 0:
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError("deadline passed while indexing copies")
+            if limit is not None and len(out) > limit:
+                break
+    if limit is not None and len(out) > limit:
+        raise CapacityError("too many forbidden restrictions to index")
+    return out
 
 
 def cover_exists(n: int, pmask: int, depth: int) -> list[int] | None:

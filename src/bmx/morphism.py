@@ -1,10 +1,11 @@
-"""Containment, homomorphism, isomorphism, and canonical forms.
+"""Containment, isomorphism, and canonical forms.
 
 Containment search assigns images of a basis of span(N) chosen from N's
 own points, so candidate images always range over the host's points.  The
 pattern is preprocessed into a closure schedule: each new basis slot
 unlocks the pattern points it makes fully determined, which are checked
-immediately for early pruning.
+immediately for early pruning, and each point carries the basic orbits of
+Aut(N) it lies in, so that every copy of N is found once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from bmx.gf2core import LinearMap, coords_in_basis, rank_ints
 from bmx.matroid import Matroid
 
 CANON_MAX_DIM = 8
-HOM_MAX_DIM = 8
 COUNT_MAX_HOST_DIM = 6
 COUNT_MAX_PATTERN_RANK = 4
 
@@ -51,11 +51,13 @@ class Embedding:
 class _Schedule:
     basis: tuple[int, ...]
     checks: tuple[tuple[int, ...], ...]
+    bounds: tuple[tuple[int, ...], ...]  # aligned with checks
 
 
 def _schedule(pattern: Matroid) -> _Schedule:
     """Greedy basis from the pattern's points, ordered to close as many
-    points as possible as early as possible."""
+    points as possible as early as possible, with the lex-leader bounds
+    of ``_orbit_bounds``."""
     remaining = set(pattern.points)
     basis: list[int] = []
     checks: list[tuple[int, ...]] = []
@@ -79,7 +81,35 @@ def _schedule(pattern: Matroid) -> _Schedule:
         basis.append(best_b)
         checks.append(tuple(c for _p, c in best_closed))
         remaining.difference_update(p for p, _c in best_closed)
-    return _Schedule(tuple(basis), tuple(checks))
+    return _Schedule(tuple(basis), tuple(checks), _orbit_bounds(checks))
+
+
+def _orbit_bounds(checks: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """For each point that ``checks[j][k]`` closes, the bitset of the slots
+    i whose basic orbit O_i - {b_i} holds it (``kernels._embeddings``).
+
+    In slot coordinates the basis is b_i = 1 << i and the pattern is the
+    set of its coefficient masks.  A point x outside span(b_0..b_{i-1})
+    lies in O_i iff N embeds into itself with b_h -> b_h for h < i and
+    b_i -> x; such an embedding permutes N's points, so it is an
+    automorphism.  Each test is one existence search with that prefix
+    pinned, and no list of Aut(N) is ever built.
+    """
+    pts = sorted(c for cs in checks for c in cs)
+    mask = sum(1 << (c - 1) for c in pts)
+    r = len(checks)
+    unbounded = [(0,) * len(cs) for cs in checks]
+    slots = dict.fromkeys(pts, 0)
+    for i in range(r):
+        pinned = [(1 << h,) for h in range(i)]
+        for x in pts:
+            if x >> i and x != 1 << i:
+                cands = pinned + [(x,)] + [pts] * (r - i - 1)
+                found = kernels._embeddings(cands, mask, checks, unbounded,
+                                            [0] * r)
+                if next(found, None) is not None:
+                    slots[x] |= 1 << i
+    return tuple(tuple(slots[c] for c in cs) for cs in checks)
 
 
 @lru_cache(maxsize=256)
@@ -131,7 +161,7 @@ def contains(host: Matroid, pattern: Matroid,
         return Embedding(lm, frozenset())
     sched = _schedule_cached(pattern.dim, pattern.mask)
     imgs = kernels.find_embedding(host.sorted_points(), host.mask,
-                                  sched.checks, True)
+                                  sched.checks, sched.bounds)
     if imgs is None:
         return None if want_witness else False
     if not want_witness:
@@ -140,21 +170,6 @@ def contains(host: Matroid, pattern: Matroid,
                               pattern.dim, host.dim)
     image = frozenset(lm.apply_int(p) for p in pattern.points)
     return Embedding(lm, image)
-
-
-def homomorphic(pattern: Matroid, host: Matroid) -> bool:
-    """Is there a (not necessarily injective) linear map with
-    phi(pattern) inside host's point set?"""
-    if pattern.dim > HOM_MAX_DIM:
-        raise CapacityError(f"homomorphism search limited to dim <= {HOM_MAX_DIM}")
-    if not pattern.points:
-        return True
-    if not host.points:
-        return False
-    sched = _schedule_cached(pattern.dim, pattern.mask)
-    imgs = kernels.find_embedding(host.sorted_points(), host.mask,
-                                  sched.checks, False)
-    return imgs is not None
 
 
 def canonical_key(m: Matroid) -> CanonicalKey:
@@ -194,4 +209,4 @@ def count_restrictions(host: Matroid, pattern: Matroid) -> int:
         return 1
     sched = _schedule_cached(pattern.dim, pattern.mask)
     return len(kernels.all_embedding_images(host.sorted_points(), host.mask,
-                                            sched.checks))
+                                            sched.checks, sched.bounds))

@@ -7,8 +7,9 @@ import random
 
 import pytest
 
+from bmx import extremal
 from bmx.cli import run
-from bmx.matroid import Matroid, bb, from_bm1, pg, to_bm1, to_compact
+from bmx.matroid import Matroid, bb, free, from_bm1, pg, to_bm1, to_compact
 from conftest import random_gl, time_budget
 
 
@@ -152,6 +153,24 @@ def test_ex_budget_exit(capsys, fano_file):
                        "--time-limit", "0")
     assert code == 1
     assert "certified false" in out
+
+
+def test_ex_deadline_while_indexing_exits_1(capsys, tmp_path):
+    p = tmp_path / "i5.bm1"
+    p.write_text(to_bm1(free(5)))
+    with time_budget(5):
+        code, out = invoke(capsys, "ex", str(p), "--n", "6",
+                           "--time-limit", "1", "--format", "json")
+    assert code == 1
+    d = json.loads(out)
+    assert d["certified"] is False
+    assert (d["value"], d["nodes"]) == (0, 0)
+
+
+def test_ex_copy_cap_exits_3(capsys, monkeypatch, fano_file):
+    monkeypatch.setattr(extremal, "_EX_MAX_COPIES", 100)
+    assert run(["ex", fano_file, "--n", "5"]) == 3
+    assert "too many forbidden restrictions" in capsys.readouterr().err
 
 
 def test_nearest_bb(capsys, tmp_path):

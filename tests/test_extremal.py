@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from bmx import extremal, kernels
 from bmx.errors import CapacityError, UsageError
 from bmx.extremal import (
     Family,
@@ -36,7 +37,7 @@ from bmx.matroid import (
     recoordinatize,
 )
 from bmx.morphism import contains, isomorphic
-from conftest import random_matroid
+from conftest import random_matroid, time_budget
 
 
 def complete_graphic(t: int) -> Matroid:
@@ -109,8 +110,10 @@ def test_ex_bose_burton_values():
         assert cert.value == (1 << n) - (1 << (n - t))
         assert isomorphic(cert.witness, bb(n, t))
     # larger cells, certified within a budget (isomorphism is too slow here)
-    for t, n in [(1, 5), (1, 6), (1, 7), (2, 6)]:
-        cert = ex_search(Family.from_matroids([pg(t + 1)]), n, time_limit=10)
+    for t, n in [(1, 5), (1, 6), (1, 7), (2, 6), (3, 6)]:
+        with time_budget(20):
+            cert = ex_search(Family.from_matroids([pg(t + 1)]), n,
+                             time_limit=10)
         assert cert.certified
         assert cert.value == cert.witness.size == (1 << n) - (1 << (n - t))
         assert not contains(cert.witness, pg(t + 1))
@@ -166,6 +169,34 @@ def test_ex_budget_expiry():
 def test_ex_capacity():
     with pytest.raises(CapacityError):
         ex_search(Family.from_matroids([pg(2)]), 9)
+
+
+def test_ex_deadline_holds_while_indexing():
+    # {I5} at n = 6 has 5,249,664 copies: indexing alone outlasts the limit
+    with time_budget(5):
+        cert = ex_search(Family.from_matroids([free(5)]), 6, time_limit=1)
+    assert not cert.certified
+    assert (cert.value, cert.witness.size, cert.nodes) == (0, 0, 0)
+
+
+def test_ex_copy_cap_holds_while_indexing(monkeypatch):
+    # the cap is checked as copies arrive, not after a member's whole
+    # image set is in memory: the enumeration is abandoned unfinished
+    finished = []
+    real = kernels._embeddings
+
+    def watched(*args):
+        yield from real(*args)
+        finished.append(True)
+
+    monkeypatch.setattr(kernels, "_embeddings", watched)
+    monkeypatch.setattr(extremal, "_EX_MAX_COPIES", 100)
+    with pytest.raises(CapacityError):
+        ex_search(Family.from_matroids([circuit(4)]), 5)  # 1,085 copies
+    assert not finished
+    monkeypatch.setattr(extremal, "_EX_MAX_COPIES", 2000)
+    assert ex_search(Family.from_matroids([circuit(4)]), 5).value == 7
+    assert finished
 
 
 def test_certificate_json_roundtrip():

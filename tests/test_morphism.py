@@ -1,9 +1,9 @@
-"""Containment, homomorphism, isomorphism, canonical keys."""
+"""Containment, isomorphism, canonical keys, copy enumeration."""
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,16 +11,31 @@ from hypothesis import strategies as st
 
 from bmx import kernels
 from bmx.errors import CapacityError
-from bmx.matroid import Matroid, ag, bb, circuit, delete, free, from_compact, pg
+from bmx.gf2core import rank_ints
+from bmx.graphs import SimpleGraph
+from bmx.matroid import (
+    Matroid,
+    ag,
+    bb,
+    circuit,
+    delete,
+    free,
+    from_compact,
+    graphic,
+    pg,
+    recoordinatize,
+)
 from bmx.morphism import (
+    _schedule,
+    _schedule_cached,
     canonical_key,
     contains,
     count_restrictions,
-    homomorphic,
     isomorphic,
 )
 from conftest import (
     _GL_CACHE,
+    _naive_images,
     gl_maps,
     naive_contains,
     naive_count_restrictions,
@@ -80,23 +95,6 @@ def test_contains_matches_naive_random_dim4(rng):
         psize = rng.randint(0, 5)
         pat = Matroid(4, frozenset(rng.sample(range(1, 16), psize)))
         assert bool(contains(host, pat)) == naive_contains(host, pat)
-
-
-def test_homomorphic():
-    tri = pg(2)
-    point = Matroid(1, frozenset({1}))
-    # a map sending both e1, e2 to the point sends e1+e2 to zero
-    assert not homomorphic(tri, Matroid(2, frozenset({1})))
-    assert homomorphic(free(3), Matroid(3, frozenset({1})))
-    assert homomorphic(tri, pg(3))
-    assert homomorphic(Matroid(2, frozenset()), point)
-    assert not homomorphic(point, Matroid(1, frozenset()))
-    # chi characterization: M has a homomorphism to pg(chi(M))
-    for m in [pg(2), bb(4, 2), ag(3)]:
-        from bmx.matroid import chi
-        assert homomorphic(m, pg(chi(m)))
-        if chi(m) > 1:
-            assert not homomorphic(m, pg(chi(m) - 1))
 
 
 def test_isomorphic_basics():
@@ -263,3 +261,112 @@ def test_count_restrictions_brute_dim3(rng):
             assert count_restrictions(host, pattern) == \
                 naive_count_restrictions(host, pattern), (host, pattern)
 
+
+
+def _mk4() -> Matroid:
+    return graphic(SimpleGraph.from_edges(
+        4, [(u, v) for u in range(4) for v in range(u + 1, 4)]))
+
+
+def _mask_points(mask: int) -> frozenset[int]:
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("name,pattern,order", [
+    ("triangle", pg(2), 6), ("C4", circuit(4), 24), ("I4", free(4), 24),
+    ("M(K4)", _mk4(), 24), ("C5", circuit(5), 120), ("Fano", pg(3), 168),
+    ("PG(3,2)", pg(4), 20160),
+])
+def test_basic_orbits_multiply_to_the_automorphism_count(name, pattern, order):
+    # |Aut(N)| by brute force: the distinct point permutations induced by
+    # the invertible maps of span(N) that keep N
+    spanning = recoordinatize(pattern)
+    pts = spanning.sorted_points()
+    n = spanning.dim
+    if n not in _GL_CACHE:
+        _GL_CACHE[n] = gl_maps(n)
+    perms = {tuple(g[p] for p in pts) for g in _GL_CACHE[n]
+             if all(g[p] in spanning.points for p in pts)}
+    assert len(perms) == order
+    # |O_i| is 1 (b_i itself) plus the points whose bound has bit i
+    sched = _schedule(pattern)
+    product_of_orbits = 1
+    for i in range(len(sched.checks)):
+        product_of_orbits *= 1 + sum(b >> i & 1 for bs in sched.bounds
+                                     for b in bs)
+    assert product_of_orbits == order, name
+
+
+def test_each_copy_is_enumerated_once():
+    # image sets against every injective map tried by brute force
+    rng = random.Random(66)
+    patterns = [pg(2), circuit(4), free(3), free(4), pg(3), circuit(5), _mk4()]
+    with time_budget(20):
+        for pattern in patterns:
+            for n in (3, 4, 5):
+                if n < pattern.dim:
+                    continue
+                if n == 5 and pattern.rank == 4:
+                    continue  # 625k injective maps per host: too slow
+                for density in (0.6, 1.0):
+                    host = random_matroid(rng, n, density)
+                    sched = _schedule_cached(pattern.dim, pattern.mask)
+                    images = kernels.all_embedding_images(
+                        host.sorted_points(), host.mask, sched.checks,
+                        sched.bounds)
+                    assert len(images) == len(set(images))
+                    assert {_mask_points(c) for c in images} == \
+                        set(_naive_images(host, pattern)), (pattern, host)
+
+
+def _lex_least_embedding(host: Matroid, basis, pattern: Matroid):
+    """The least injective basis-image tuple, in ascending host points,
+    that sends every pattern point to a host point; by brute force."""
+    r = len(basis)
+    coeffs = []
+    for p in pattern.points:
+        for c in range(1, 1 << r):
+            x = 0
+            for i in range(r):
+                if c >> i & 1:
+                    x ^= basis[i]
+            if x == p:
+                coeffs.append(c)
+                break
+    for imgs in product(host.sorted_points(), repeat=r):
+        if rank_ints(imgs) < r:
+            continue
+        for c in coeffs:
+            x = 0
+            for i in range(r):
+                if c >> i & 1:
+                    x ^= imgs[i]
+            if x not in host.points:
+                break
+        else:
+            return list(imgs)
+    return None
+
+
+def test_find_embedding_is_the_lex_least_tuple():
+    rng = random.Random(67)
+    patterns = [pg(2), circuit(4), free(3), pg(3), _mk4(), free(2)]
+    with time_budget(30):
+        for _ in range(60):
+            pattern = rng.choice(patterns)
+            if rng.random() < 0.3:
+                pattern = random_matroid(rng, 3, 0.5)
+                if not pattern.points:
+                    continue
+            n = rng.randint(max(3, pattern.dim), 4)
+            host = random_matroid(rng, n, rng.choice([0.4, 0.7, 1.0]))
+            sched = _schedule_cached(pattern.dim, pattern.mask)
+            got = kernels.find_embedding(host.sorted_points(), host.mask,
+                                         sched.checks, sched.bounds)
+            assert got == _lex_least_embedding(host, sched.basis, pattern)
+
+
+def test_pg3_copies_in_pg5():
+    # [6 choose 4]_2 = 651 solids; the ordered bases number 13 million
+    with time_budget(10):
+        assert count_restrictions(pg(6), pg(4)) == 651
