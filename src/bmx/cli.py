@@ -287,14 +287,7 @@ def _add_graph_format(p) -> None:
                    default="auto")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="bmx",
-        description="Exact computation with simple binary matroids over GF(2).",
-    )
-    ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
+def _register_construct(sub) -> None:
     c = sub.add_parser("construct", help="emit a standard matroid as BM1")
     cs = c.add_subparsers(dest="what", required=True)
     for name in ("pg", "ag", "free"):
@@ -319,28 +312,38 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     c.set_defaults(func=_cmd_construct)
 
+
+def _register_stat(sub) -> None:
     p = sub.add_parser("stat", help="dim, size, rank, chi of a matroid")
     p.add_argument("file")
     _add_format(p)
     p.set_defaults(func=_cmd_stat)
 
+
+def _register_contains(sub) -> None:
     p = sub.add_parser("contains", help="host has a pattern-restriction?")
     p.add_argument("host")
     p.add_argument("pattern")
     _add_format(p)
     p.set_defaults(func=_cmd_contains)
 
+
+def _register_iso(sub) -> None:
     p = sub.add_parser("iso", help="are two matroids isomorphic?")
     p.add_argument("a")
     p.add_argument("b")
     _add_format(p)
     p.set_defaults(func=_cmd_iso)
 
+
+def _register_canon(sub) -> None:
     p = sub.add_parser("canon", help="canonical key of a matroid")
     p.add_argument("file")
     _add_format(p)
     p.set_defaults(func=_cmd_canon)
 
+
+def _register_count(sub) -> None:
     p = sub.add_parser("count-restrictions",
                        help="number of distinct pattern-restrictions")
     p.add_argument("host")
@@ -348,11 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=_cmd_count)
 
+
+def _register_decompose(sub) -> None:
     p = sub.add_parser("decompose", help="decomposition family as BM1 blocks")
     p.add_argument("files", nargs="+")
     _add_format(p)
     p.set_defaults(func=_cmd_decompose)
 
+
+def _register_ex(sub) -> None:
     p = sub.add_parser("ex", help="exact Turan number with certificate")
     p.add_argument("files", nargs="+")
     p.add_argument("--n", type=int, required=True)
@@ -361,12 +368,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=_cmd_ex)
 
+
+def _register_nearest_bb(sub) -> None:
     p = sub.add_parser("nearest-bb", help="nearest Bose-Burton geometry")
     p.add_argument("file")
     p.add_argument("--k", type=int, required=True)
     _add_format(p)
     p.set_defaults(func=_cmd_nearest_bb)
 
+
+def _register_graph(sub) -> None:
     p = sub.add_parser("graph", help="graph computations")
     gs = p.add_subparsers(dest="what", required=True)
     for name in ("chi", "forest", "cubic"):
@@ -378,6 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_format(gp)
     p.set_defaults(func=_cmd_graph)
 
+
+def _register_verify(sub) -> None:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=verify_mod.SUITES)
     p.add_argument("--max-n", type=int, default=None)
@@ -385,6 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=_cmd_verify)
 
+
+def _register_cache(sub) -> None:
     p = sub.add_parser("cache", help="catalog maintenance")
     cs2 = p.add_subparsers(dest="what", required=True)
     vp = cs2.add_parser("verify")
@@ -392,11 +407,50 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(vp)
     p.set_defaults(func=_cmd_cache)
 
+
+# top-level command -> the function that adds its subparser, in help order
+COMMANDS = {
+    "construct": _register_construct,
+    "stat": _register_stat,
+    "contains": _register_contains,
+    "iso": _register_iso,
+    "canon": _register_canon,
+    "count-restrictions": _register_count,
+    "decompose": _register_decompose,
+    "ex": _register_ex,
+    "nearest-bb": _register_nearest_bb,
+    "graph": _register_graph,
+    "verify": _register_verify,
+    "cache": _register_cache,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The bmx parser with every command, or with only ``command``'s
+    subparser, which is all that parsing a call to that command needs.
+    The usage line names every command either way."""
+    ap = argparse.ArgumentParser(
+        prog="bmx",
+        description="Exact computation with simple binary matroids over GF(2).",
+    )
+    ap.add_argument("--version", action="version", version=__version__)
+    # a pruned tree names every command in its usage line by hand; the
+    # full one leaves that to argparse, which then calls a missing
+    # command "command" in its error
+    names = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=names)
+    for name, register in COMMANDS.items():
+        if command in (None, name):
+            register(sub)
     return ap
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only a call that names a command can skip the other subparsers;
+    # --help, --version, no argument and a typo need the full tree
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    ap = build_parser(command)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -103,27 +103,44 @@ class TuranCertificate:
 _EX_MAX_COPIES = 5_000_000
 
 
+def _copy_count(sched, n: int) -> int:
+    """Copies of a scheduled pattern in the full geometry of dimension n.
+
+    Each injective image of the pattern basis, prod_{i<r} (2^n - 2^i) of
+    them, gives a copy, and a copy comes from exactly |Aut(N)| of them.
+    |Aut(N)| is the product of the basic orbit sizes |O_i|, and O_i is
+    b_i with the points whose bound has bit i (``morphism._orbit_bounds``).
+    """
+    r = len(sched.basis)
+    maps = aut = 1
+    for i in range(r):
+        maps *= (1 << n) - (1 << i)
+        aut *= 1 + sum(b >> i & 1 for bs in sched.bounds for b in bs)
+    return maps // aut
+
+
 def _all_copies(family: Family, n: int,
                 deadline: float | None = None) -> list[int]:
     """Point-set bitsets of every forbidden restriction inside the full
     geometry, sorted ascending by size then value.
 
-    The enumerator yields each copy of a member once, so the limits are
-    checked as copies arrive, without waiting for a member's enumeration
-    to end: TimeoutError once ``time.monotonic()`` passes ``deadline``,
-    and CapacityError once the members so far have more than
-    ``_EX_MAX_COPIES`` copies.
+    Raises CapacityError before enumerating anything when the members
+    have more than ``_EX_MAX_COPIES`` copies in all (``_copy_count``).
+    The enumerator yields each copy of a member once, and the deadline is
+    checked as copies arrive: TimeoutError once ``time.monotonic()``
+    passes ``deadline``.
     """
     host_pts = range(1, 1 << n)
     host_mask = (1 << ((1 << n) - 1)) - 1
+    scheds = [_schedule_cached(m.dim, m.mask)
+              for m in family.members if m.dim <= n]
+    if sum(_copy_count(s, n) for s in scheds) > _EX_MAX_COPIES:
+        raise CapacityError("too many forbidden restrictions to index")
     copies: set[int] = set()
-    for m in family.members:
-        if m.dim > n:
-            continue
-        sched = _schedule_cached(m.dim, m.mask)
+    for sched in scheds:
         copies.update(kernels.all_embedding_images(
             host_pts, host_mask, sched.checks, sched.bounds,
-            deadline=deadline, limit=_EX_MAX_COPIES - len(copies)))
+            deadline=deadline))
     return sorted(copies, key=lambda c: (c.bit_count(), c))
 
 

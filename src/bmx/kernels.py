@@ -22,7 +22,6 @@ import time
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 
-from bmx.errors import CapacityError
 from bmx.gf2core import parity_masks
 
 # the benchmark harness (perfbench/worker.py) prints it with every result
@@ -289,33 +288,27 @@ def find_embedding(host_pts: Sequence[int], host_mask: int,
     return None
 
 
-# the deadline and the copy limit are checked once per this many images
+# the deadline is checked once per this many images
 _CHECK_EVERY = 1024
 
 
 def all_embedding_images(host_pts: Sequence[int], host_mask: int,
                          checks: Sequence[Sequence[int]],
                          bounds: Sequence[Sequence[int]],
-                         deadline: float | None = None,
-                         limit: int | None = None) -> list[int]:
+                         deadline: float | None = None) -> list[int]:
     """Image point sets (as bitsets) of the injective embeddings, each
     copy of the pattern once.
 
     Every ``_CHECK_EVERY`` images, raises TimeoutError once
-    ``time.monotonic()`` has passed ``deadline``, and CapacityError once
-    there are more than ``limit`` images.
+    ``time.monotonic()`` has passed ``deadline``.
     """
     out: list[int] = []
     for image in _embeddings([host_pts] * len(checks), host_mask, checks,
                              bounds, [0] * len(checks)):
         out.append(image)
-        if len(out) % _CHECK_EVERY == 0:
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError("deadline passed while indexing copies")
-            if limit is not None and len(out) > limit:
-                break
-    if limit is not None and len(out) > limit:
-        raise CapacityError("too many forbidden restrictions to index")
+        if (deadline is not None and len(out) % _CHECK_EVERY == 0
+                and time.monotonic() > deadline):
+            raise TimeoutError("deadline passed while indexing copies")
     return out
 
 

@@ -94,22 +94,71 @@ def _orbit_bounds(checks: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     b_i -> x; such an embedding permutes N's points, so it is an
     automorphism.  Each test is one existence search with that prefix
     pinned, and no list of Aut(N) is ever built.
+
+    The search runs only for an x that passes two necessary tests: such
+    an automorphism s fixes every y in span(b_0..b_{i-1}) and sends
+    b_i ^ y to x ^ y, so x ^ y is in N iff b_i ^ y is; and s maps the
+    dependencies of N through b_i onto those through x, so the two points
+    agree in ``_point_invariants``.
     """
     pts = sorted(c for cs in checks for c in cs)
     mask = sum(1 << (c - 1) for c in pts)
     r = len(checks)
     unbounded = [(0,) * len(cs) for cs in checks]
     slots = dict.fromkeys(pts, 0)
+    # profile[x]: bit y - 1 for each y != 0 with x ^ y in N
+    profile = {x: sum(1 << (x ^ q) - 1 for q in pts if q != x) for x in pts}
+    inv = _point_invariants(pts, r, profile, mask)
     for i in range(r):
+        b = 1 << i
+        fixed = (1 << b - 1) - 1  # the nonzero y in span(b_0..b_{i-1})
         pinned = [(1 << h,) for h in range(i)]
         for x in pts:
-            if x >> i and x != 1 << i:
+            if (x >> i and x != b and inv[x] == inv[b]
+                    and (profile[x] ^ profile[b]) & fixed == 0):
                 cands = pinned + [(x,)] + [pts] * (r - i - 1)
                 found = kernels._embeddings(cands, mask, checks, unbounded,
                                             [0] * r)
                 if next(found, None) is not None:
                     slots[x] |= 1 << i
     return tuple(tuple(slots[c] for c in cs) for cs in checks)
+
+
+# the dependencies are listed only when there are at most 2^this many
+_MAX_NULLITY = 8
+
+
+def _point_invariants(pts: list[int], r: int, profile: dict[int, int],
+                      mask: int) -> dict[int, int | list[int]]:
+    """A label of each point of N (in slot coordinates, with b_i = 1 << i
+    among ``pts``) that every automorphism keeps.
+
+    A dependency is a nonempty set of points that sums to 0.  N has
+    2^(|N| - r) - 1 of them, spanned by the fundamental circuits of the
+    points outside the basis; when there are few, the label is the sorted
+    sizes of those through the point.  Otherwise it is the number of
+    triangles through the point, the dependencies of size 3, which
+    ``profile`` gives at once.
+    """
+    if len(pts) - r > _MAX_NULLITY:
+        return {x: (profile[x] & mask).bit_count() for x in pts}
+    idx = {p: j for j, p in enumerate(pts)}
+    deps = [0]
+    for p in pts:
+        if p & p - 1:  # outside the basis
+            circuit = 1 << idx[p]
+            for i in range(r):
+                if p >> i & 1:
+                    circuit |= 1 << idx[1 << i]
+            deps += [d ^ circuit for d in deps]
+    sizes: list[list[int]] = [[] for _ in pts]
+    for d in deps:
+        size = d.bit_count()
+        while d:
+            low = d & -d
+            d ^= low
+            sizes[low.bit_length() - 1].append(size)
+    return {p: sorted(s) for p, s in zip(pts, sizes)}
 
 
 @lru_cache(maxsize=256)

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 
 import pytest
 
-from bmx import extremal
-from bmx.cli import run
+from bmx import __version__, extremal
+from bmx.cli import COMMANDS, run
 from bmx.matroid import Matroid, bb, free, from_bm1, pg, to_bm1, to_compact
 from conftest import random_gl, time_budget
 
@@ -156,15 +157,27 @@ def test_ex_budget_exit(capsys, fano_file):
 
 
 def test_ex_deadline_while_indexing_exits_1(capsys, tmp_path):
-    p = tmp_path / "i5.bm1"
-    p.write_text(to_bm1(free(5)))
+    # {I4} at n = 6 has 546,840 copies, under the cap; enumerating them
+    # takes about 0.75 s, so a 0.2 s limit passes while they arrive
+    p = tmp_path / "i4.bm1"
+    p.write_text(to_bm1(free(4)))
     with time_budget(5):
         code, out = invoke(capsys, "ex", str(p), "--n", "6",
-                           "--time-limit", "1", "--format", "json")
+                           "--time-limit", "0.2", "--format", "json")
     assert code == 1
     d = json.loads(out)
     assert d["certified"] is False
     assert (d["value"], d["nodes"]) == (0, 0)
+
+
+def test_ex_over_the_copy_cap_exits_3_at_once(capsys, tmp_path):
+    # {I5} at n = 6 has 5,249,664 copies, over the cap of 5 million:
+    # refused from the count, before any copy is enumerated
+    p = tmp_path / "i5.bm1"
+    p.write_text(to_bm1(free(5)))
+    with time_budget(2):
+        assert run(["ex", str(p), "--n", "6"]) == 3
+    assert "too many forbidden restrictions" in capsys.readouterr().err
 
 
 def test_ex_copy_cap_exits_3(capsys, monkeypatch, fano_file):
@@ -227,3 +240,69 @@ def test_verify_rejects_options_a_suite_does_not_take(capsys):
     code, out = invoke(capsys, "verify", "bose-burton", "--max-n", "2",
                        "--time-limit", "10")
     assert code == 0 and "RESULT PASS (1/1)" in out
+
+
+# --- the top-level contract -------------------------------------------------
+
+def test_top_level_help_lists_every_command(capsys):
+    assert run(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert len(COMMANDS) == 12
+    for name in COMMANDS:
+        assert name in out
+
+
+def test_top_level_version_exits_0(capsys):
+    assert run(["--version"]) == 0
+    assert capsys.readouterr().out.strip() == __version__
+
+
+def test_no_arguments_is_a_usage_error(capsys):
+    assert run([]) == 2
+    assert "required" in capsys.readouterr().err
+
+
+def test_unknown_command_names_the_choices(capsys):
+    assert run(["nosuch"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nosuch'" in err
+    for name in COMMANDS:
+        assert name in err
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_help_exits_0(capsys, command):
+    assert run([command, "--help"]) == 0
+    assert f"usage: bmx {command}" in capsys.readouterr().out
+
+
+def test_a_usage_error_after_a_command_names_every_command(capsys, tri_file):
+    # only the named command's subparser is built, and the usage line
+    # still lists them all
+    assert run(["stat", tri_file, "--bogus"]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --bogus" in err
+    for name in COMMANDS:
+        assert name in err
+
+
+def test_a_call_builds_only_its_own_subparser(monkeypatch, capsys, tri_file):
+    # a guard against building the whole tree again on every call
+    added = []
+    real = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        if self.dest == "command":
+            added.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert run(["stat", tri_file]) == 0
+    assert added == ["stat"]
+    added.clear()
+    assert run(["construct", "pg", "--t", "2"]) == 0
+    assert added == ["construct"]
+    added.clear()
+    assert run(["--version"]) == 0
+    assert added == list(COMMANDS)
+    capsys.readouterr()

@@ -36,7 +36,7 @@ from bmx.matroid import (
     pg,
     recoordinatize,
 )
-from bmx.morphism import contains, isomorphic
+from bmx.morphism import _schedule_cached, contains, isomorphic
 from conftest import random_matroid, time_budget
 
 
@@ -172,16 +172,17 @@ def test_ex_capacity():
 
 
 def test_ex_deadline_holds_while_indexing():
-    # {I5} at n = 6 has 5,249,664 copies: indexing alone outlasts the limit
+    # {I4} at n = 6 has 546,840 copies, under the cap; enumerating them
+    # takes about 0.75 s, so a 0.2 s limit passes while they arrive
     with time_budget(5):
-        cert = ex_search(Family.from_matroids([free(5)]), 6, time_limit=1)
+        cert = ex_search(Family.from_matroids([free(4)]), 6, time_limit=0.2)
     assert not cert.certified
     assert (cert.value, cert.witness.size, cert.nodes) == (0, 0, 0)
 
 
 def test_ex_copy_cap_holds_while_indexing(monkeypatch):
-    # the cap is checked as copies arrive, not after a member's whole
-    # image set is in memory: the enumeration is abandoned unfinished
+    # the cap is checked against the copy count before any member is
+    # enumerated, so no image set is ever built past it
     finished = []
     real = kernels._embeddings
 
@@ -197,6 +198,23 @@ def test_ex_copy_cap_holds_while_indexing(monkeypatch):
     monkeypatch.setattr(extremal, "_EX_MAX_COPIES", 2000)
     assert ex_search(Family.from_matroids([circuit(4)]), 5).value == 7
     assert finished
+
+
+@pytest.mark.parametrize("member", [
+    pg(2), pg(3), circuit(4), circuit(5), complete_graphic(4), free(3),
+    free(4)], ids=["tri", "Fano", "C4", "C5", "M(K4)", "I3", "I4"])
+def test_copy_count_matches_the_enumeration(member):
+    sched = _schedule_cached(member.dim, member.mask)
+    for n in (4, 5):
+        images = kernels.all_embedding_images(
+            range(1, 1 << n), (1 << (1 << n) - 1) - 1, sched.checks,
+            sched.bounds)
+        assert extremal._copy_count(sched, n) == len(images)
+
+
+def test_copy_count_of_i5_in_pg5():
+    sched = _schedule_cached(5, free(5).mask)
+    assert extremal._copy_count(sched, 6) == 5_249_664
 
 
 def test_certificate_json_roundtrip():

@@ -297,6 +297,42 @@ def test_basic_orbits_multiply_to_the_automorphism_count(name, pattern, order):
     assert product_of_orbits == order, name
 
 
+def test_orbit_bounds_are_the_basic_orbits_of_aut():
+    # bit i of a point's bound is set iff some automorphism fixes
+    # b_0..b_{i-1} and sends b_i to it; Aut(N) by brute force over GL
+    rng = random.Random(68)
+    patterns = [pg(2), pg(3), circuit(4), free(3), free(4), _mk4(), bb(4, 1),
+                ag(3), ag(4), pg(4)]
+    patterns += [random_matroid(rng, n, d) for n in (2, 3, 4)
+                 for d in (0.2, 0.4, 0.6, 0.8) for _ in range(6)]
+    with time_budget(60):
+        for pattern in patterns:
+            if not pattern.points:
+                continue
+            n = pattern.dim
+            if n not in _GL_CACHE:
+                _GL_CACHE[n] = gl_maps(n)
+            auts = [g for g in _GL_CACHE[n]
+                    if all(g[p] in pattern.points for p in pattern.points)]
+            sched = _schedule(pattern)
+            basis = sched.basis
+            for cs, bs in zip(sched.checks, sched.bounds):
+                for c, bound in zip(cs, bs):
+                    x = 0
+                    for j in range(len(basis)):
+                        if c >> j & 1:
+                            x ^= basis[j]
+                    want = 0
+                    for i in range(len(basis)):
+                        if x != basis[i] and any(
+                                g[basis[i]] == x
+                                and all(g[basis[h]] == basis[h]
+                                        for h in range(i))
+                                for g in auts):
+                            want |= 1 << i
+                    assert bound == want, (pattern, x)
+
+
 def test_each_copy_is_enumerated_once():
     # image sets against every injective map tried by brute force
     rng = random.Random(66)
