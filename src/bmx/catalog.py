@@ -52,7 +52,7 @@ def verify_certificate(cert: TuranCertificate) -> str | None:
     if w.size != cert.value:
         return f"witness size {w.size} != value {cert.value}"
     for m in cert.family:
-        if m.dim <= w.dim and contains(w, m):
+        if contains(w, m):
             return "witness contains a forbidden restriction"
     return None
 

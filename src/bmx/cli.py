@@ -129,7 +129,7 @@ def _cmd_stat(args) -> int:
 def _cmd_contains(args) -> int:
     host = _read_matroid(args.host)
     pattern = _read_matroid(args.pattern)
-    res = bool(contains(host, pattern))
+    res = contains(host, pattern)
     _emit(args, "true" if res else "false",
           {"kind": "contains", "result": res})
     return EXIT_OK if res else EXIT_FALSE

@@ -21,7 +21,7 @@ from bmx.matroid import (
     recoordinatize,
     to_compact,
 )
-from bmx.morphism import canonical_key, contains, _schedule_cached
+from bmx.morphism import _copy_count, _schedule_cached, canonical_key, contains
 
 EX_MAX_DIM = 8
 NEAREST_MAX_DIM = 10
@@ -103,37 +103,22 @@ class TuranCertificate:
 _EX_MAX_COPIES = 5_000_000
 
 
-def _copy_count(sched, n: int) -> int:
-    """Copies of a scheduled pattern in the full geometry of dimension n.
-
-    Each injective image of the pattern basis, prod_{i<r} (2^n - 2^i) of
-    them, gives a copy, and a copy comes from exactly |Aut(N)| of them.
-    |Aut(N)| is the product of the basic orbit sizes |O_i|, and O_i is
-    b_i with the points whose bound has bit i (``morphism._orbit_bounds``).
-    """
-    r = len(sched.basis)
-    maps = aut = 1
-    for i in range(r):
-        maps *= (1 << n) - (1 << i)
-        aut *= 1 + sum(b >> i & 1 for bs in sched.bounds for b in bs)
-    return maps // aut
-
-
 def _all_copies(family: Family, n: int,
                 deadline: float | None = None) -> list[int]:
     """Point-set bitsets of every forbidden restriction inside the full
     geometry, sorted ascending by size then value.
 
-    Raises CapacityError before enumerating anything when the members
-    have more than ``_EX_MAX_COPIES`` copies in all (``_copy_count``).
-    The enumerator yields each copy of a member once, and the deadline is
-    checked as copies arrive: TimeoutError once ``time.monotonic()``
-    passes ``deadline``.
+    A member of rank above n has no copy and is skipped.  Raises
+    CapacityError before enumerating anything when the members have more
+    than ``_EX_MAX_COPIES`` copies in all (``_copy_count``).  The
+    enumerator yields each copy of a member once, and the deadline is
+    checked as copies arrive and once more after the sort: TimeoutError
+    once ``time.monotonic()`` passes ``deadline``.
     """
     host_pts = range(1, 1 << n)
     host_mask = (1 << ((1 << n) - 1)) - 1
     scheds = [_schedule_cached(m.dim, m.mask)
-              for m in family.members if m.dim <= n]
+              for m in family.members if m.rank <= n]
     if sum(_copy_count(s, n) for s in scheds) > _EX_MAX_COPIES:
         raise CapacityError("too many forbidden restrictions to index")
     copies: set[int] = set()
@@ -141,7 +126,12 @@ def _all_copies(family: Family, n: int,
         copies.update(kernels.all_embedding_images(
             host_pts, host_mask, sched.checks, sched.bounds,
             deadline=deadline))
-    return sorted(copies, key=lambda c: (c.bit_count(), c))
+    # by size, then by value: two stable sorts beat one tuple key
+    ordered = sorted(copies)
+    ordered.sort(key=int.bit_count)
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError("deadline passed while sorting copies")
+    return ordered
 
 
 def _incidence(copies: list[int], total: int) -> list[int]:

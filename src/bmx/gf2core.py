@@ -101,35 +101,6 @@ class Subspace:
         return reduce_against(self.basis, self.pivots, v) == 0
 
 
-@dataclass(frozen=True)
-class LinearMap:
-    """A linear map F_2^k -> F_2^m given by images of the standard basis."""
-
-    domain_dim: int
-    codomain_dim: int
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.images) != self.domain_dim:
-            raise UsageError("need one image per standard basis vector")
-        for img in self.images:
-            if not 0 <= img < (1 << self.codomain_dim):
-                raise UsageError("image outside codomain")
-
-    def apply_int(self, v: int) -> int:
-        out = 0
-        i = 0
-        while v:
-            if v & 1:
-                out ^= self.images[i]
-            v >>= 1
-            i += 1
-        return out
-
-    def is_injective(self) -> bool:
-        return rank_ints(self.images) == self.domain_dim
-
-
 def enumerate_subspaces(n: int, k: int) -> Iterator[Subspace]:
     """All k-dimensional subspaces of F_2^n, each exactly once.
 

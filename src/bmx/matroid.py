@@ -4,6 +4,10 @@ A matroid here is a set of nonzero vectors of F_2^n together with its
 declared ambient dimension n.  Points are stored as ints (point index =
 vector encoding); ``mask`` gives the characteristic bitset over indices
 1..2^n-1.
+
+Containment, restriction counts and ex depend only on a pattern's rank,
+not on its declared dimension; canonical keys and ``isomorphic`` still
+compare the declared dimension.
 """
 
 from __future__ import annotations
@@ -62,18 +66,6 @@ class Matroid:
             mask >>= 1
             p += 1
         return Matroid(dim, frozenset(pts))
-
-
-def size(m: Matroid) -> int:
-    return m.size
-
-
-def rank(m: Matroid) -> int:
-    return m.rank
-
-
-def dim(m: Matroid) -> int:
-    return m.dim
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from bmx import kernels
 from bmx.errors import CapacityError
-from bmx.gf2core import LinearMap, coords_in_basis, rank_ints
+from bmx.gf2core import coords_in_basis
 from bmx.matroid import Matroid
 
 CANON_MAX_DIM = 8
@@ -36,15 +36,6 @@ class CanonicalKey:
             if ch == "1":
                 mask |= 1 << i
         return Matroid.from_mask(self.dim, mask)
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """A witness that the pattern embeds: the injective-on-span map and the
-    image point set inside the host."""
-
-    map: LinearMap
-    image: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -124,6 +115,22 @@ def _orbit_bounds(checks: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(slots[c] for c in cs) for cs in checks)
 
 
+def _copy_count(sched: _Schedule, n: int) -> int:
+    """Copies of a scheduled pattern in the full geometry of dimension n.
+
+    Each injective image of the pattern basis, prod_{i<r} (2^n - 2^i) of
+    them, gives a copy, and a copy comes from exactly |Aut(N)| of them.
+    |Aut(N)| is the product of the basic orbit sizes |O_i|, and O_i is
+    b_i with the points whose bound has bit i (``_orbit_bounds``).
+    """
+    r = len(sched.basis)
+    maps = aut = 1
+    for i in range(r):
+        maps *= (1 << n) - (1 << i)
+        aut *= 1 + sum(b >> i & 1 for bs in sched.bounds for b in bs)
+    return maps // aut
+
+
 # the dependencies are listed only when there are at most 2^this many
 _MAX_NULLITY = 8
 
@@ -166,59 +173,17 @@ def _schedule_cached(dim: int, mask: int) -> _Schedule:
     return _schedule(Matroid.from_mask(dim, mask))
 
 
-def _extend_to_injective(basis: list[int], imgs: list[int],
-                         dom: int, cod: int) -> LinearMap:
-    """Turn images of an independent point basis into a fully injective
-    standard-basis map F_2^dom -> F_2^cod (requires cod >= dom)."""
-    full_basis = list(basis)
-    full_imgs = list(imgs)
-    for i in range(dom):
-        e = 1 << i
-        if coords_in_basis(full_basis, e) is None:
-            full_basis.append(e)
-            # any image outside the current image span keeps injectivity
-            for v in range(1, 1 << cod):
-                if coords_in_basis(full_imgs, v) is None:
-                    full_imgs.append(v)
-                    break
-    std_images = []
-    for i in range(dom):
-        c = coords_in_basis(full_basis, 1 << i)
-        assert c is not None
-        x = 0
-        for j in range(len(full_basis)):
-            if (c >> j) & 1:
-                x ^= full_imgs[j]
-        std_images.append(x)
-    return LinearMap(dom, cod, tuple(std_images))
-
-
-def contains(host: Matroid, pattern: Matroid,
-             want_witness: bool = False) -> bool | Embedding | None:
+def contains(host: Matroid, pattern: Matroid) -> bool:
     """Does host have a pattern-restriction?
 
-    With ``want_witness`` returns an Embedding or None instead of a bool.
-    Containment requires dim(host) >= dim(pattern): a matroid embedded in
-    a higher-dimensional space contains the original but not conversely.
+    Only the pattern's rank has to fit: its declared dimension plays no
+    part, since the search works in span(pattern) coordinates.
     """
-    if host.dim < pattern.dim:
-        return None if want_witness else False
-    if not pattern.points:
-        if not want_witness:
-            return True
-        lm = _extend_to_injective([], [], pattern.dim, host.dim)
-        return Embedding(lm, frozenset())
+    if pattern.rank > host.dim:
+        return False
     sched = _schedule_cached(pattern.dim, pattern.mask)
-    imgs = kernels.find_embedding(host.sorted_points(), host.mask,
-                                  sched.checks, sched.bounds)
-    if imgs is None:
-        return None if want_witness else False
-    if not want_witness:
-        return True
-    lm = _extend_to_injective(list(sched.basis), list(imgs),
-                              pattern.dim, host.dim)
-    image = frozenset(lm.apply_int(p) for p in pattern.points)
-    return Embedding(lm, image)
+    return kernels.find_embedding(host.sorted_points(), host.mask,
+                                  sched.checks, sched.bounds) is not None
 
 
 def canonical_key(m: Matroid) -> CanonicalKey:
@@ -248,14 +213,12 @@ def count_restrictions(host: Matroid, pattern: Matroid) -> int:
     if host.dim > COUNT_MAX_HOST_DIM:
         raise CapacityError(
             f"restriction counting limited to host dim <= {COUNT_MAX_HOST_DIM}")
-    if rank_ints(pattern.points) > COUNT_MAX_PATTERN_RANK:
+    if pattern.rank > COUNT_MAX_PATTERN_RANK:
         raise CapacityError(
             f"restriction counting limited to pattern rank <= "
             f"{COUNT_MAX_PATTERN_RANK}")
-    if host.dim < pattern.dim:
+    if pattern.rank > host.dim:
         return 0
-    if not pattern.points:
-        return 1
     sched = _schedule_cached(pattern.dim, pattern.mask)
     return len(kernels.all_embedding_images(host.sorted_points(), host.mask,
                                             sched.checks, sched.bounds))

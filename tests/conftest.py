@@ -75,8 +75,6 @@ def _naive_images(host: Matroid, pattern: Matroid):
 
 
 def naive_contains(host: Matroid, pattern: Matroid) -> bool:
-    if host.dim < pattern.dim:
-        return False
     if not pattern.points:
         return True
     return any(True for _image in _naive_images(host, pattern))
@@ -84,8 +82,6 @@ def naive_contains(host: Matroid, pattern: Matroid) -> bool:
 
 def naive_count_restrictions(host: Matroid, pattern: Matroid) -> int:
     """Number of distinct images over every injective map."""
-    if host.dim < pattern.dim:
-        return 0
     return len(set(_naive_images(host, pattern)))
 
 

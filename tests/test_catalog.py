@@ -9,10 +9,12 @@ import os
 
 import pytest
 
-from bmx.catalog import Catalog, entry_key, verify_certificate
+from bmx import __version__
+from bmx.catalog import KIND, Catalog, entry_key, verify_certificate
 from bmx.errors import UsageError
-from bmx.extremal import Family, ex_search
-from bmx.matroid import Matroid, free, pg, to_compact
+from bmx.extremal import Family, TuranCertificate, ex_search
+from bmx.graphs import SimpleGraph
+from bmx.matroid import Matroid, free, graphic, pg, to_compact
 
 
 @pytest.fixture
@@ -175,6 +177,26 @@ def test_uncertified_entries_are_refused(cat):
     path.write_text(json.dumps(d))
     assert cat.lookup(fam, 4) is None
     assert (cat.root / "quarantine" / f"{key}.json").is_file()
+
+
+def test_entry_of_the_declared_dimension_reading_is_quarantined(cat):
+    # an entry in the old form: M(K4) is declared in dimension 4, so a
+    # dimension gate let PG(2,2) pass as M(K4)-free and ex({M(K4)}, 3)
+    # read 7; containment now asks only that the rank, 3, fit
+    k4 = graphic(SimpleGraph.from_edges(
+        4, [(u, v) for u in range(4) for v in range(u + 1, 4)]))
+    stale = TuranCertificate(
+        family=(k4,), n=3, value=7, witness=pg(3), method="branch-bound",
+        certified=True, nodes=0, elapsed_ms=0)
+    key = entry_key((k4,), 3)
+    path = cat.root / key[:2] / key[2:4] / f"{key}.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({
+        "key": key, "kind": KIND, "created_at": "2026-01-01T00:00:00Z",
+        "version": __version__, "payload": stale.to_json_dict()}))
+    assert cat.lookup(Family.from_matroids([k4]), 3) is None
+    reason = (cat.root / "quarantine" / f"{key}.reason").read_text()
+    assert "witness contains a forbidden restriction" in reason
 
 
 def test_env_var_root(tmp_path, monkeypatch):

@@ -143,6 +143,18 @@ def test_ex_text_output(capsys, tri_file):
     assert "value 4" in out and "certified true" in out
 
 
+def test_ex_k4_n3_is_the_matroid_answer(capsys, tmp_path):
+    # M(K4) is declared in dimension 4 but has rank 3, so it fits in n = 3
+    from bmx.graphs import SimpleGraph
+    from bmx.matroid import graphic
+    p = tmp_path / "k4.bm1"
+    p.write_text(to_bm1(graphic(SimpleGraph.from_edges(
+        4, [(u, v) for u in range(4) for v in range(u + 1, 4)]))))
+    code, out = invoke(capsys, "ex", str(p), "--n", "3")
+    assert code == 0
+    assert "value 5" in out and "certified true" in out
+
+
 def test_ex_triangle_n6_certified_within_budget(capsys, tri_file):
     code, out = invoke(capsys, "ex", tri_file, "--n", "6", "--time-limit", "2")
     assert code == 0

@@ -36,7 +36,13 @@ from bmx.matroid import (
     pg,
     recoordinatize,
 )
-from bmx.morphism import _schedule_cached, contains, isomorphic
+from bmx.morphism import (
+    _copy_count,
+    _schedule_cached,
+    contains,
+    count_restrictions,
+    isomorphic,
+)
 from conftest import random_matroid, time_budget
 
 
@@ -209,12 +215,47 @@ def test_copy_count_matches_the_enumeration(member):
         images = kernels.all_embedding_images(
             range(1, 1 << n), (1 << (1 << n) - 1) - 1, sched.checks,
             sched.bounds)
-        assert extremal._copy_count(sched, n) == len(images)
+        assert _copy_count(sched, n) == len(images)
 
 
 def test_copy_count_of_i5_in_pg5():
     sched = _schedule_cached(5, free(5).mask)
-    assert extremal._copy_count(sched, 6) == 5_249_664
+    assert _copy_count(sched, 6) == 5_249_664
+
+
+def test_declared_dimension_does_not_matter(rng):
+    # the same points declared in dimension k and in k + 2 are one
+    # matroid: containment, copy counts and ex agree on the two
+    for _ in range(200):
+        k = rng.randint(1, 3)
+        size = rng.randint(1, min(4, (1 << k) - 1))
+        pts = frozenset(rng.sample(range(1, 1 << k), size))
+        low, high = Matroid(k, pts), Matroid(k + 2, pts)
+        host = random_matroid(rng, rng.randint(1, 4),
+                              rng.choice([0.5, 0.8, 1.0]))
+        assert contains(host, low) == contains(host, high)
+        assert (count_restrictions(host, low)
+                == count_restrictions(host, high))
+        n = rng.randint(1, 4)
+        a = ex_search(Family.from_matroids([low]), n)
+        b = ex_search(Family.from_matroids([high]), n)
+        assert (a.value, a.certified) == (b.value, b.certified)
+
+
+def test_ex_k4_at_its_rank():
+    # M(K4) is declared in dimension 4 with rank 3: in n = 3 the answer
+    # is the matroid one, 5, not 2^3 - 1
+    cert = ex_search(Family.from_matroids([complete_graphic(4)]), 3)
+    assert cert.certified and cert.value == 5
+    assert not contains(cert.witness, complete_graphic(4))
+
+
+def test_ex_deadline_holds_over_the_sort():
+    # enumerating the 546,840 copies of {I4} at n = 6 takes about 0.75 s
+    # and sorting them about 0.5 s; a 1 s limit must still end the call
+    with time_budget(3):
+        cert = ex_search(Family.from_matroids([free(4)]), 6, time_limit=1)
+    assert not cert.certified
 
 
 def test_certificate_json_roundtrip():

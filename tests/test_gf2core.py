@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmx.errors import UsageError
 from bmx.gf2core import (
-    LinearMap,
     coords_in_basis,
     enumerate_subspaces,
     gaussian_binomial,
@@ -95,14 +93,6 @@ def test_codim_enumeration(n, c):
         assert len(kernel) == (1 << (n - c)) - 1
         kernels.add(kernel)
     assert len(kernels) == gaussian_binomial(n, c)
-
-
-def test_linear_map():
-    phi = LinearMap(2, 3, (0b001, 0b110))
-    assert phi.apply_int(0b11) == 0b111
-    assert phi.is_injective()
-    with pytest.raises(UsageError):
-        LinearMap(2, 2, (1,))
 
 
 def test_parity_masks_match_brute_force():

@@ -52,8 +52,8 @@ def test_contains_examples():
     assert not contains(bb(4, 1), pg(2))  # affine hosts are triangle-free
     assert not contains(pg(2), pg(3))
     assert contains(pg(2), Matroid(2, frozenset()))
-    # dimension gate: the pattern's ambient must fit
-    assert not contains(pg(2), Matroid(3, frozenset({1})))
+    # only the pattern's rank must fit, not its declared dimension
+    assert contains(pg(2), Matroid(3, frozenset({1})))
 
 
 def test_contains_dim7():
@@ -63,19 +63,13 @@ def test_contains_dim7():
     assert contains(bb(7, 3), pg(3))
 
 
-def test_contains_witness():
-    emb = contains(pg(3), circuit(4), want_witness=True)
-    assert emb is not None
-    assert emb.map.is_injective()
-    assert emb.image <= pg(3).points
-    assert len(emb.image) == 4
-    # image points must realize the circuit relation
-    x = 0
-    for p in emb.image:
-        x ^= p
-    # the 4 image points form a circuit: they sum to zero, rank 3
-    assert x == 0
-    assert Matroid(3, frozenset(emb.image)).rank == 3
+def test_contains_patterns_declared_above_the_host_dim():
+    # M(O6) and M(K6) are declared in dimension 6 and have rank 5
+    k6 = graphic(SimpleGraph.from_edges(
+        6, [(u, v) for u in range(6) for v in range(u + 1, 6)]))
+    o6 = delete(k6, {0b11, 0b1100, 0b110000})
+    assert contains(pg(5), o6) and contains(pg(5), k6)
+    assert not contains(pg(4), o6)
 
 
 def test_contains_matches_naive_exhaustive_dim3():
