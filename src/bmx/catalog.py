@@ -24,7 +24,6 @@ from bmx.extremal import Family, TuranCertificate
 from bmx.matroid import Matroid
 from bmx.morphism import canonical_key, contains
 
-ENV_VAR = "BMX_CACHE"
 KIND = "turan"  # the one query kind; part of every key and entry file
 
 
@@ -82,17 +81,9 @@ class VerifyReport:
 
 
 class Catalog:
-    """Append-only certificate store rooted at a directory.
+    """Append-only certificate store rooted at a directory."""
 
-    The root comes from the constructor argument, the BMX_CACHE
-    environment variable, or ``~/.cache/bmx``, in that order.
-    """
-
-    def __init__(self, root: str | os.PathLike | None = None):
-        if root is None:
-            root = os.environ.get(ENV_VAR)
-        if root is None:
-            root = Path.home() / ".cache" / "bmx"
+    def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
 
     def _path(self, key: str) -> Path:

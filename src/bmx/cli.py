@@ -249,7 +249,7 @@ def _cmd_graph(args) -> int:
 def _cmd_verify(args) -> int:
     rows = verify_mod.run_suite(args.suite, max_n=args.max_n,
                                 time_limit=args.time_limit)
-    ok = all(r.ok for r in rows)
+    ok = bool(rows) and all(r.ok for r in rows)  # no rows proves nothing
     lines = [f"{'PASS' if r.ok else 'FAIL'}  {r.label}: {r.detail}"
              for r in rows]
     lines.append(
@@ -403,7 +403,7 @@ def _register_cache(sub) -> None:
     p = sub.add_parser("cache", help="catalog maintenance")
     cs2 = p.add_subparsers(dest="what", required=True)
     vp = cs2.add_parser("verify")
-    vp.add_argument("--cache-dir", default=None)
+    vp.add_argument("--cache-dir", required=True)
     _add_format(vp)
     p.set_defaults(func=_cmd_cache)
 

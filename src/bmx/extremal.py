@@ -43,12 +43,18 @@ class Family:
 
     @staticmethod
     def from_matroids(matroids) -> "Family":
+        """One member per isomorphism class, the first declaration of each
+        as given, sorted by rank, size and canonical key of the span.
+
+        Two matroids are compared over their spans (``recoordinatize``),
+        so the same points declared in two dimensions are one member.
+        """
         matroids = list(matroids)
         if len(matroids) == 1:  # nothing to dedup, skip canonization
             return Family((matroids[0],))
         seen: dict[tuple[int, str], Matroid] = {}
         for m in matroids:
-            key = canonical_key(m)
+            key = canonical_key(recoordinatize(m))
             seen.setdefault((key.dim, key.bits), m)
         ordered = sorted(
             seen.items(), key=lambda kv: (kv[0][0], kv[1].size, kv[0][1])
@@ -108,7 +114,8 @@ def _all_copies(family: Family, n: int,
     """Point-set bitsets of every forbidden restriction inside the full
     geometry, sorted ascending by size then value.
 
-    A member of rank above n has no copy and is skipped.  Raises
+    A member of rank above n has no copy and is skipped.  The members are
+    pairwise non-isomorphic, so no copy belongs to two of them.  Raises
     CapacityError before enumerating anything when the members have more
     than ``_EX_MAX_COPIES`` copies in all (``_copy_count``).  The
     enumerator yields each copy of a member once, and the deadline is
@@ -117,21 +124,21 @@ def _all_copies(family: Family, n: int,
     """
     host_pts = range(1, 1 << n)
     host_mask = (1 << ((1 << n) - 1)) - 1
-    scheds = [_schedule_cached(m.dim, m.mask)
+    scheds = [_schedule_cached(m.mask)
               for m in family.members if m.rank <= n]
     if sum(_copy_count(s, n) for s in scheds) > _EX_MAX_COPIES:
         raise CapacityError("too many forbidden restrictions to index")
-    copies: set[int] = set()
+    copies: list[int] = []
     for sched in scheds:
-        copies.update(kernels.all_embedding_images(
+        copies += kernels.all_embedding_images(
             host_pts, host_mask, sched.checks, sched.bounds,
-            deadline=deadline))
+            deadline=deadline)
     # by size, then by value: two stable sorts beat one tuple key
-    ordered = sorted(copies)
-    ordered.sort(key=int.bit_count)
+    copies.sort()
+    copies.sort(key=int.bit_count)
     if deadline is not None and time.monotonic() > deadline:
         raise TimeoutError("deadline passed while sorting copies")
-    return ordered
+    return copies
 
 
 def _incidence(copies: list[int], total: int) -> list[int]:
@@ -244,7 +251,9 @@ def ex_search(family: Family, n: int,
     the certificate is uncertified, with value 0, an empty witness and 0
     nodes.
     """
-    if not 0 <= n <= EX_MAX_DIM:
+    if n < 0:
+        raise UsageError("need n >= 0")
+    if n > EX_MAX_DIM:
         raise CapacityError(f"exact search limited to n <= {EX_MAX_DIM}")
     start = time.monotonic()
     deadline = start + time_limit if time_limit is not None else None

@@ -63,28 +63,6 @@ def reduce_against(basis: Sequence[int], pivots: Sequence[int], v: int) -> int:
     return v
 
 
-def coords_in_basis(basis: Sequence[int], v: int) -> int | None:
-    """Coefficient mask expressing v over an arbitrary independent basis.
-
-    Bit i of the result selects basis[i]; None if v is outside the span.
-    """
-    rows = [(b, 1 << i) for i, b in enumerate(basis)]
-    # Triangularize on the fly, carrying coefficient masks along.
-    pivots: list[tuple[int, int, int]] = []  # (pivot mask, vec, coeffs)
-    for vec, cf in rows:
-        for p, pv, pc in pivots:
-            if vec & p:
-                vec ^= pv
-                cf ^= pc
-        pivots.append((vec & -vec, vec, cf))
-    coeff = 0
-    for p, pv, pc in pivots:
-        if v & p:
-            v ^= pv
-            coeff ^= pc
-    return coeff if v == 0 else None
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of F_2^n given by a reduced row-echelon basis."""

@@ -5,7 +5,9 @@ own points, so candidate images always range over the host's points.  The
 pattern is preprocessed into a closure schedule: each new basis slot
 unlocks the pattern points it makes fully determined, which are checked
 immediately for early pruning, and each point carries the basic orbits of
-Aut(N) it lies in, so that every copy of N is found once.
+Aut(N) it lies in, so that every copy of N is found once.  A schedule is
+a function of N's point set alone, and is cached by it: the dimension N
+is declared in plays no part in containment or in copy counting.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from functools import lru_cache
 
 from bmx import kernels
 from bmx.errors import CapacityError
-from bmx.gf2core import coords_in_basis
 from bmx.matroid import Matroid
 
 CANON_MAX_DIM = 8
@@ -45,33 +46,31 @@ class _Schedule:
     bounds: tuple[tuple[int, ...], ...]  # aligned with checks
 
 
-def _schedule(pattern: Matroid) -> _Schedule:
-    """Greedy basis from the pattern's points, ordered to close as many
-    points as possible as early as possible, with the lex-leader bounds
-    of ``_orbit_bounds``."""
-    remaining = set(pattern.points)
+def _schedule(mask: int) -> _Schedule:
+    """Greedy basis from the points of the bitset ``mask``, ordered to
+    close as many points as possible as early as possible, with the
+    lex-leader bounds of ``_orbit_bounds``.
+
+    ``span`` maps each vector of the span of the basis so far to its
+    coefficient mask.  A remaining point lies outside that span, so a
+    candidate b closes it exactly when ``p ^ b`` is in the table.
+    """
+    remaining = [p for p in range(1, mask.bit_length() + 1)
+                 if mask >> p - 1 & 1]
+    span = {0: 0}
     basis: list[int] = []
     checks: list[tuple[int, ...]] = []
     while remaining:
-        best_b = None
-        best_closed: list[tuple[int, int]] = []
-        for b in sorted(remaining):
-            if coords_in_basis(basis, b) is not None:
-                continue  # dependent on chosen basis, already scheduled
-            trial = basis + [b]
-            closed = []
-            for p in sorted(remaining):
-                c = coords_in_basis(trial, p)
-                if c is not None:
-                    closed.append((p, c))
-            if best_b is None or len(closed) > len(best_closed):
-                best_b = b
-                best_closed = closed
-        if best_b is None:
-            raise AssertionError("points not spanned by independent points")
+        best_closed: list[int] = []
+        for b in remaining:
+            closed = [p for p in remaining if p ^ b in span]
+            if len(closed) > len(best_closed):
+                best_b, best_closed = b, closed
+        bit = 1 << len(basis)
         basis.append(best_b)
-        checks.append(tuple(c for _p, c in best_closed))
-        remaining.difference_update(p for p, _c in best_closed)
+        checks.append(tuple(span[p ^ best_b] | bit for p in best_closed))
+        remaining = [p for p in remaining if p ^ best_b not in span]
+        span.update([(v ^ best_b, c | bit) for v, c in span.items()])
     return _Schedule(tuple(basis), tuple(checks), _orbit_bounds(checks))
 
 
@@ -168,9 +167,7 @@ def _point_invariants(pts: list[int], r: int, profile: dict[int, int],
     return {p: sorted(s) for p, s in zip(pts, sizes)}
 
 
-@lru_cache(maxsize=256)
-def _schedule_cached(dim: int, mask: int) -> _Schedule:
-    return _schedule(Matroid.from_mask(dim, mask))
+_schedule_cached = lru_cache(maxsize=256)(_schedule)
 
 
 def contains(host: Matroid, pattern: Matroid) -> bool:
@@ -181,7 +178,7 @@ def contains(host: Matroid, pattern: Matroid) -> bool:
     """
     if pattern.rank > host.dim:
         return False
-    sched = _schedule_cached(pattern.dim, pattern.mask)
+    sched = _schedule_cached(pattern.mask)
     return kernels.find_embedding(host.sorted_points(), host.mask,
                                   sched.checks, sched.bounds) is not None
 
@@ -219,6 +216,6 @@ def count_restrictions(host: Matroid, pattern: Matroid) -> int:
             f"{COUNT_MAX_PATTERN_RANK}")
     if pattern.rank > host.dim:
         return 0
-    sched = _schedule_cached(pattern.dim, pattern.mask)
+    sched = _schedule_cached(pattern.mask)
     return len(kernels.all_embedding_images(host.sorted_points(), host.mask,
                                             sched.checks, sched.bounds))

@@ -198,8 +198,3 @@ def test_entry_of_the_declared_dimension_reading_is_quarantined(cat):
     reason = (cat.root / "quarantine" / f"{key}.reason").read_text()
     assert "witness contains a forbidden restriction" in reason
 
-
-def test_env_var_root(tmp_path, monkeypatch):
-    monkeypatch.setenv("BMX_CACHE", str(tmp_path / "envcache"))
-    cat = Catalog()
-    assert cat.root == tmp_path / "envcache"

@@ -225,6 +225,10 @@ def test_exit_codes(capsys, tmp_path, tri_file):
     bad = tmp_path / "bad.bm1"
     bad.write_text("not a matroid\n")
     assert invoke(capsys, "stat", str(bad))[0] == 2
+    assert run(["ex", tri_file, "--n", "-1"]) == 2
+    assert "n >= 0" in capsys.readouterr().err
+    assert run(["cache", "verify"]) == 2  # the catalog root is required
+    assert "--cache-dir" in capsys.readouterr().err
     # capacity: search dimension beyond the exact-search bound
     assert invoke(capsys, "ex", tri_file, "--n", "9")[0] == 3
 
@@ -240,6 +244,10 @@ def test_verify_bose_burton_small(capsys):
     code, out = invoke(capsys, "verify", "bose-burton", "--max-n", "3")
     assert code == 0
     assert "RESULT PASS" in out
+    # a suite run that checks nothing proves nothing
+    code, out = invoke(capsys, "verify", "bose-burton", "--max-n", "1")
+    assert code == 1
+    assert "RESULT FAIL (0/0)" in out
 
 
 def test_verify_rejects_options_a_suite_does_not_take(capsys):

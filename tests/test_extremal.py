@@ -210,7 +210,7 @@ def test_ex_copy_cap_holds_while_indexing(monkeypatch):
     pg(2), pg(3), circuit(4), circuit(5), complete_graphic(4), free(3),
     free(4)], ids=["tri", "Fano", "C4", "C5", "M(K4)", "I3", "I4"])
 def test_copy_count_matches_the_enumeration(member):
-    sched = _schedule_cached(member.dim, member.mask)
+    sched = _schedule_cached(member.mask)
     for n in (4, 5):
         images = kernels.all_embedding_images(
             range(1, 1 << n), (1 << (1 << n) - 1) - 1, sched.checks,
@@ -219,7 +219,7 @@ def test_copy_count_matches_the_enumeration(member):
 
 
 def test_copy_count_of_i5_in_pg5():
-    sched = _schedule_cached(5, free(5).mask)
+    sched = _schedule_cached(free(5).mask)
     assert _copy_count(sched, 6) == 5_249_664
 
 
@@ -248,6 +248,25 @@ def test_ex_k4_at_its_rank():
     cert = ex_search(Family.from_matroids([complete_graphic(4)]), 3)
     assert cert.certified and cert.value == 5
     assert not contains(cert.witness, complete_graphic(4))
+
+
+def test_family_dedups_by_span(monkeypatch):
+    # M(K4) declared in dimension 4 and the same points in dimension 5
+    # are one member, so its 1,085 copies at n = 5 are indexed once
+    k4 = complete_graphic(4)
+    fam = Family.from_matroids([k4, Matroid(5, k4.points)])
+    assert fam.members == (k4,)
+    calls = []
+    real = kernels.all_embedding_images
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "all_embedding_images", counted)
+    copies = extremal._all_copies(fam, 5)
+    assert len(copies) == len(set(copies)) == 1085
+    assert len(calls) == 1
 
 
 def test_ex_deadline_holds_over_the_sort():

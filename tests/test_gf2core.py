@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmx.gf2core import (
-    coords_in_basis,
     enumerate_subspaces,
     gaussian_binomial,
     parity_masks,
@@ -46,20 +45,6 @@ def test_rank_matches_rref(vs):
 def test_reduce_against_membership(vs, v):
     basis, pivots = rref_ints(vs)
     assert (reduce_against(basis, pivots, v) == 0) == (v in _span(vs))
-
-
-@given(st.lists(vectors4, min_size=1, max_size=6), vectors4)
-def test_coords_in_basis_roundtrip(vs, v):
-    basis, _ = rref_ints(vs)
-    c = coords_in_basis(basis, v)
-    if c is None:
-        assert rank_ints(list(basis) + [v]) == len(basis) + 1 or v == 0 and basis == []
-    else:
-        x = 0
-        for i, b in enumerate(basis):
-            if (c >> i) & 1:
-                x ^= b
-        assert x == v
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(5) for k in range(n + 1)])

@@ -266,6 +266,35 @@ def _mask_points(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def test_schedule_closes_each_point_once():
+    # slot j's checks have top bit j, and the basis points they select sum
+    # to the point closed; over all slots, each point is closed once
+    rng = random.Random(69)
+    mk5 = graphic(SimpleGraph.from_edges(
+        5, [(u, v) for u in range(5) for v in range(u + 1, 5)]))
+    patterns = [pg(2), pg(3), circuit(4), circuit(5), _mk4(), mk5, free(4),
+                pg(4), pg(5)]
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        size = rng.randint(1, min(16, (1 << n) - 1))
+        patterns.append(Matroid(n, frozenset(rng.sample(range(1, 1 << n),
+                                                        size))))
+    with time_budget(30):
+        for pattern in patterns:
+            sched = _schedule(pattern.mask)
+            assert rank_ints(sched.basis) == len(sched.basis) == pattern.rank
+            closed = []
+            for j, cs in enumerate(sched.checks):
+                for c in cs:
+                    assert c.bit_length() - 1 == j
+                    x = 0
+                    for i, b in enumerate(sched.basis):
+                        if c >> i & 1:
+                            x ^= b
+                    closed.append(x)
+            assert sorted(closed) == pattern.sorted_points(), pattern
+
+
 @pytest.mark.parametrize("name,pattern,order", [
     ("triangle", pg(2), 6), ("C4", circuit(4), 24), ("I4", free(4), 24),
     ("M(K4)", _mk4(), 24), ("C5", circuit(5), 120), ("Fano", pg(3), 168),
@@ -283,7 +312,7 @@ def test_basic_orbits_multiply_to_the_automorphism_count(name, pattern, order):
              if all(g[p] in spanning.points for p in pts)}
     assert len(perms) == order
     # |O_i| is 1 (b_i itself) plus the points whose bound has bit i
-    sched = _schedule(pattern)
+    sched = _schedule(pattern.mask)
     product_of_orbits = 1
     for i in range(len(sched.checks)):
         product_of_orbits *= 1 + sum(b >> i & 1 for bs in sched.bounds
@@ -308,7 +337,7 @@ def test_orbit_bounds_are_the_basic_orbits_of_aut():
                 _GL_CACHE[n] = gl_maps(n)
             auts = [g for g in _GL_CACHE[n]
                     if all(g[p] in pattern.points for p in pattern.points)]
-            sched = _schedule(pattern)
+            sched = _schedule(pattern.mask)
             basis = sched.basis
             for cs, bs in zip(sched.checks, sched.bounds):
                 for c, bound in zip(cs, bs):
@@ -340,7 +369,7 @@ def test_each_copy_is_enumerated_once():
                     continue  # 625k injective maps per host: too slow
                 for density in (0.6, 1.0):
                     host = random_matroid(rng, n, density)
-                    sched = _schedule_cached(pattern.dim, pattern.mask)
+                    sched = _schedule_cached(pattern.mask)
                     images = kernels.all_embedding_images(
                         host.sorted_points(), host.mask, sched.checks,
                         sched.bounds)
@@ -390,7 +419,7 @@ def test_find_embedding_is_the_lex_least_tuple():
                     continue
             n = rng.randint(max(3, pattern.dim), 4)
             host = random_matroid(rng, n, rng.choice([0.4, 0.7, 1.0]))
-            sched = _schedule_cached(pattern.dim, pattern.mask)
+            sched = _schedule_cached(pattern.mask)
             got = kernels.find_embedding(host.sorted_points(), host.mask,
                                          sched.checks, sched.bounds)
             assert got == _lex_least_embedding(host, sched.basis, pattern)
