@@ -21,7 +21,13 @@ from bmx.matroid import (
     recoordinatize,
     to_compact,
 )
-from bmx.morphism import _copy_count, _schedule_cached, canonical_key, contains
+from bmx.morphism import (
+    CanonicalKey,
+    _copy_count,
+    _schedule_cached,
+    contains,
+    span_key,
+)
 
 EX_MAX_DIM = 8
 NEAREST_MAX_DIM = 10
@@ -44,27 +50,33 @@ class Family:
     @staticmethod
     def from_matroids(matroids) -> "Family":
         """One member per isomorphism class, the first declaration of each
-        as given, sorted by rank, size and canonical key of the span.
+        as given, sorted by rank, size and ``span_key``.
 
-        Two matroids are compared over their spans (``recoordinatize``),
-        so the same points declared in two dimensions are one member.
+        Two matroids are compared by ``span_key``, so the same points
+        declared in two dimensions are one member.
         """
         matroids = list(matroids)
         if len(matroids) == 1:  # nothing to dedup, skip canonization
             return Family((matroids[0],))
-        seen: dict[tuple[int, str], Matroid] = {}
+        seen: dict[CanonicalKey, Matroid] = {}
         for m in matroids:
-            key = canonical_key(recoordinatize(m))
-            seen.setdefault((key.dim, key.bits), m)
+            seen.setdefault(span_key(m), m)
         ordered = sorted(
-            seen.items(), key=lambda kv: (kv[0][0], kv[1].size, kv[0][1])
+            seen.items(), key=lambda kv: (kv[0].dim, kv[1].size, kv[0].bits)
         )
         return Family(tuple(m for _k, m in ordered))
 
     @cached_property
+    def spans(self) -> tuple[Matroid, ...]:
+        """Each member over its own span (``recoordinatize``), aligned
+        with ``members``; ``k``, ``decomposition_family`` and
+        ``corollary_tier`` compute on these."""
+        return tuple(map(recoordinatize, self.members))
+
+    @cached_property
     def k(self) -> int:
         """min critical number over the members, minus one."""
-        return min(chi(m) for m in self.members) - 1
+        return min(chi(s) for s in self.spans) - 1
 
 
 @dataclass(frozen=True)
@@ -366,24 +378,28 @@ def decomposition_family(family: Family) -> Family:
 
     Computed through codimension-k slices of the members (each slice's
     removal leaves a subset of a Bose-Burton geometry of order k), then
-    deduplicated up to isomorphism and filtered to restriction-minimal
+    deduplicated by ``span_key`` and filtered to restriction-minimal
     representatives in canonical coordinates.  The slice by the common
     kernel W of k functionals drops the points that some functional sees.
+
+    The slices are taken in each member's span (``Family.spans``), so the
+    declared dimension plays no part: a codimension-k subspace of the
+    declared space meets the span in codimension at most k, and when
+    less, its slice contains a codimension-k one and is not minimal.
     """
     k = family.k
     if k == 0:
         return family
-    for m in family.members:
-        if m.dim > 8:
-            raise CapacityError("decomposition limited to member dim <= 8")
-    classes: dict[tuple[int, str], Matroid] = {}
-    for m in family.members:
-        masks = parity_masks(m.dim)
-        for dual in enumerate_subspaces(m.dim, k):
-            inside = m.mask & ~_seen(masks, dual.basis)
-            sl = recoordinatize(Matroid.from_mask(m.dim, inside))
-            key = canonical_key(sl)
-            classes.setdefault((key.dim, key.bits), key.matroid())
+    for s in family.spans:
+        if s.dim > 8:
+            raise CapacityError("decomposition limited to member rank <= 8")
+    classes: dict[CanonicalKey, Matroid] = {}
+    for s in family.spans:
+        masks = parity_masks(s.dim)
+        for dual in enumerate_subspaces(s.dim, k):
+            inside = s.mask & ~_seen(masks, dual)
+            key = span_key(Matroid.from_mask(s.dim, inside))
+            classes.setdefault(key, key.matroid())
     reps = sorted(classes.values(), key=lambda m: (m.dim, m.size, m.mask))
     minimal = []
     for r in reps:
@@ -463,9 +479,9 @@ class TierReport:
 
 
 def _independent_drop_size(family: Family, k: int) -> int | None:
-    max_t = max(m.rank for m in family.members)
+    max_t = max(s.dim for s in family.spans)
     for t in range(1, max_t + 1):
-        for m in family.members:
+        for m in family.spans:
             for sub in combinations(m.sorted_points(), t):
                 if rank_ints(sub) == t and chi(delete(m, sub)) <= k:
                     return t
@@ -473,7 +489,7 @@ def _independent_drop_size(family: Family, k: int) -> int | None:
 
 
 def _no_small_dependent_drop(family: Family, k: int, t: int) -> bool:
-    for m in family.members:
+    for m in family.spans:
         for s in range(3, t + 1):  # dependent sets in a simple matroid need >= 3 points
             for sub in combinations(m.sorted_points(), s):
                 if rank_ints(sub) < s and chi(delete(m, sub)) <= k:
@@ -482,10 +498,11 @@ def _no_small_dependent_drop(family: Family, k: int, t: int) -> bool:
 
 
 def corollary_tier(family: Family) -> TierReport:
-    """Classify the family per the exactness corollaries."""
-    for m in family.members:
-        if m.dim > 8:
-            raise CapacityError("tier classification limited to member dim <= 8")
+    """Classify the family per the exactness corollaries, computed on the
+    members' spans."""
+    for s in family.spans:
+        if s.dim > 8:
+            raise CapacityError("tier classification limited to member rank <= 8")
     k = family.k
     if k == 0:
         return TierReport("sparse", k, None, None, None)
@@ -531,10 +548,10 @@ def nearest_bose_burton(m: Matroid, k: int) -> StabilityReport:
     masks = parity_masks(m.dim)
     best = None
     for dual in enumerate_subspaces(m.dim, k):
-        b_mask = _seen(masks, dual.basis)
+        b_mask = _seen(masks, dual)
         d = (m.mask ^ b_mask).bit_count()
         if best is None or d < best[0]:
-            best = (d, dual.basis, b_mask)
+            best = (d, dual, b_mask)
     assert best is not None
     d, functionals, b_mask = best
     return StabilityReport(
@@ -566,13 +583,6 @@ def _aes_threshold(r: int, t: int) -> int:
     return num // den
 
 
-def _aes_guard(r: int, t: int) -> None:
-    if t < 2 or r < t + 2:
-        raise UsageError("need t >= 2 and r >= t + 2")
-    if r > 4 or t != 2:
-        raise CapacityError("exhaustive scan limited to (r, t) = (4, 2)")
-
-
 @cache
 def _aes_largest(r: int, t: int) -> Matroid | None:
     """The first largest rank-r, triangle-free matroid with critical
@@ -590,19 +600,18 @@ def _aes_largest(r: int, t: int) -> Matroid | None:
     return best
 
 
-def aes_check(r: int, t: int = 2) -> bool:
-    """Exhaustively verify: every rank-r PG(t-1,2)-free matroid larger than
-    the density threshold has critical number at most t-1."""
-    _aes_guard(r, t)
-    best = _aes_largest(r, t)
-    return best is None or best.size <= _aes_threshold(r, t)
+def aes_check() -> bool:
+    """Exhaustively verify at rank 4: every triangle-free (PG(1,2)-free)
+    rank-4 matroid larger than the density threshold has critical
+    number 1."""
+    best = _aes_largest(4, 2)
+    return best is None or best.size <= _aes_threshold(4, 2)
 
 
-def aes_probe(r: int, t: int = 2) -> tuple[int, Matroid]:
-    """Largest rank-r, PG(t-1,2)-free matroid with critical number > t-1;
+def aes_probe() -> tuple[int, Matroid]:
+    """Largest rank-4, triangle-free matroid with critical number > 1;
     probes the tightness of the density threshold."""
-    _aes_guard(r, t)
-    best = _aes_largest(r, t)
+    best = _aes_largest(4, 2)
     if best is None:
         raise UsageError("no qualifying matroid exists")
     return best.size, best

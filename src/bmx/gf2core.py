@@ -9,9 +9,8 @@ set of points it sees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from bmx.errors import UsageError
 
@@ -55,41 +54,15 @@ def rref_ints(vectors: Iterable[int]) -> tuple[list[int], list[int]]:
     return basis, [p.bit_length() - 1 for p in pivs]
 
 
-def reduce_against(basis: Sequence[int], pivots: Sequence[int], v: int) -> int:
-    """Eliminate v against an RREF basis; zero result means membership."""
-    for row, p in zip(basis, pivots):
-        if (v >> p) & 1:
-            v ^= row
-    return v
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of F_2^n given by a reduced row-echelon basis."""
-
-    ambient: int
-    basis: tuple[int, ...]
-    pivots: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def contains_int(self, v: int) -> bool:
-        return reduce_against(self.basis, self.pivots, v) == 0
-
-
-def enumerate_subspaces(n: int, k: int) -> Iterator[Subspace]:
-    """All k-dimensional subspaces of F_2^n, each exactly once.
+def enumerate_subspaces(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """All k-dimensional subspaces of F_2^n, each exactly once, as a
+    reduced row-echelon basis tuple.
 
     Canonical RREF parametrization: lexicographic over pivot-column sets,
     then over free entries.  The count is the Gaussian binomial [n k]_2.
     """
     if not (0 <= k <= n <= MAX_DIM):
         raise UsageError("need 0 <= k <= n <= 24")
-    if k == 0:
-        yield Subspace(n, (), ())
-        return
     for pivs in combinations(range(n), k):
         pivot_set = set(pivs)
         # Free cells: (row i, column j) with j > pivs[i], j not a pivot.
@@ -105,7 +78,7 @@ def enumerate_subspaces(n: int, k: int) -> Iterator[Subspace]:
             for idx, (i, j) in enumerate(cells):
                 if (assign >> idx) & 1:
                     rows[i] |= 1 << j
-            yield Subspace(n, tuple(rows), tuple(pivs))
+            yield tuple(rows)
 
 
 _PARITY_MASKS: dict[int, list[int]] = {}
@@ -131,14 +104,3 @@ def parity_masks(n: int) -> list[int]:
             table[a] = table[a ^ low] ^ columns[low.bit_length() - 1]
         _PARITY_MASKS[n] = table
     return table
-
-
-def gaussian_binomial(n: int, k: int) -> int:
-    """[n k]_2, the number of k-dimensional subspaces of F_2^n."""
-    if k < 0 or k > n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= (1 << (n - i)) - 1
-        den *= (1 << (k - i)) - 1
-    return num // den

@@ -50,23 +50,6 @@ class SimpleGraph:
         gone = {(min(u, v), max(u, v)) for u, v in removed}
         return SimpleGraph(self.n, tuple(e for e in self.edges if e not in gone))
 
-    def component_count(self) -> int:
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comps = self.n
-        for u, v in self.edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                comps -= 1
-        return comps
-
     def is_bipartite(self) -> bool:
         adj = self.adjacency_masks()
         color = [-1] * self.n

@@ -6,8 +6,10 @@ vector encoding); ``mask`` gives the characteristic bitset over indices
 1..2^n-1.
 
 Containment, restriction counts and ex depend only on a pattern's rank,
-not on its declared dimension; canonical keys and ``isomorphic`` still
-compare the declared dimension.
+not on its declared dimension, and a forbidden family's critical number,
+decomposition family and catalog key are computed on its members' spans
+(``recoordinatize``); canonical keys and ``isomorphic`` still compare the
+declared dimension.
 """
 
 from __future__ import annotations

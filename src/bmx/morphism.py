@@ -7,7 +7,10 @@ unlocks the pattern points it makes fully determined, which are checked
 immediately for early pruning, and each point carries the basic orbits of
 Aut(N) it lies in, so that every copy of N is found once.  A schedule is
 a function of N's point set alone, and is cached by it: the dimension N
-is declared in plays no part in containment or in copy counting.
+is declared in plays no part in containment or in copy counting, nor in
+``span_key``, the canonical key of N over its span, by which a family
+dedups its members, the catalog keys its entries and the decomposition
+family keys its slices.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from functools import lru_cache
 
 from bmx import kernels
 from bmx.errors import CapacityError
-from bmx.matroid import Matroid
+from bmx.matroid import Matroid, recoordinatize
 
 CANON_MAX_DIM = 8
 COUNT_MAX_HOST_DIM = 6
@@ -191,6 +194,12 @@ def canonical_key(m: Matroid) -> CanonicalKey:
     total = (1 << m.dim) - 1
     bits = "".join("1" if (mask >> i) & 1 else "0" for i in range(total))
     return CanonicalKey(m.dim, bits)
+
+
+def span_key(m: Matroid) -> CanonicalKey:
+    """The canonical key of m over its span: the one identity of a
+    forbidden member, whatever dimension it is declared in."""
+    return canonical_key(recoordinatize(m))
 
 
 def isomorphic(a: Matroid, b: Matroid) -> bool:

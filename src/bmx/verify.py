@@ -156,8 +156,8 @@ def suite_critical_edge(time_limit: float | None = None) -> list[Row]:
 
 
 def suite_aes() -> list[Row]:
-    ok = aes_check(4, 2)
-    size, witness = aes_probe(4, 2)
+    ok = aes_check()
+    size, witness = aes_probe()
     return [
         Row("aes_check(4,2)", ok,
             "no triangle-free non-affine rank-4 matroid above the threshold"),

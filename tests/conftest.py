@@ -1,10 +1,12 @@
 """Shared fixtures and independent oracles.
 
-The oracles here deliberately use different algorithms from the package:
-chi via exhaustive subspace enumeration, containment and restriction
-counts via enumeration of all injective linear maps on a row-echelon
-basis with a final membership check, isomorphism via exhaustive GL(n,2)
-application.  They are slow and only used at small dimensions.
+The oracles here deliberately use different algorithms from the package,
+and import nothing from it but ``Matroid``: rank by elimination on
+leading bits, spans and subspaces by brute force, chi via exhaustive
+subspace enumeration, containment and restriction counts via enumeration
+of all injective linear maps on a basis of the pattern's points with a
+final membership check, isomorphism via exhaustive GL(n,2) application.
+They are slow and only used at small dimensions.
 """
 
 from __future__ import annotations
@@ -13,12 +15,105 @@ import random
 import signal
 from contextlib import contextmanager
 from functools import cache
-from itertools import combinations
 
 import pytest
 
-from bmx.gf2core import enumerate_subspaces, rank_ints, rref_ints
 from bmx.matroid import Matroid
+
+
+def rank(vectors) -> int:
+    """GF(2) rank: each vector is reduced by ``min(v, v ^ b)`` against a
+    basis kept in descending order, whose leading bits are distinct."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+def span(vectors) -> frozenset[int]:
+    """Every sum of a subset of the vectors, by brute force."""
+    out = {0}
+    for v in vectors:
+        out |= {x ^ v for x in out}
+    return frozenset(out)
+
+
+def coordinates(points) -> tuple[list[int], dict[int, int]]:
+    """A basis of span(points) picked greedily from the sorted points, and
+    each vector of that span mapped to its coefficient mask, by brute
+    force over the subsets of the basis."""
+    basis: list[int] = []
+    coeff = {0: 0}
+    for p in sorted(points):
+        if p not in coeff:
+            bit = 1 << len(basis)
+            basis.append(p)
+            coeff.update({v ^ p: c | bit for v, c in list(coeff.items())})
+    return basis, coeff
+
+
+@cache
+def _subspaces(n: int) -> tuple[tuple[frozenset[int], ...], ...]:
+    """Every subspace of F_2^n as its set of vectors, by dimension.  One of
+    dimension k + 1 is a subspace W of dimension k joined with a coset of
+    W other than W, so each W is extended by each of its cosets once and
+    the results are deduplicated as sets."""
+    layers = [{frozenset({0})}]
+    for _ in range(n):
+        grown = set()
+        for w in layers[-1]:
+            rest = set(range(1 << n)) - w
+            while rest:
+                v = rest.pop()
+                coset = {x ^ v for x in w}
+                rest -= coset
+                grown.add(w | coset)
+        layers.append(grown)
+    return tuple(map(tuple, layers))
+
+
+def subspaces(n: int, k: int) -> tuple[frozenset[int], ...]:
+    """The k-dimensional subspaces of F_2^n as sets of vectors, built once
+    per n."""
+    return _subspaces(n)[k]
+
+
+def gaussian_binomial(n: int, k: int) -> int:
+    """[n k]_2, the number of k-dimensional subspaces of F_2^n, in closed
+    form."""
+    if k < 0 or k > n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= (1 << (n - i)) - 1
+        den *= (1 << (k - i)) - 1
+    return num // den
+
+
+def component_count(g) -> int:
+    """Connected components of a graph on vertices 0..g.n-1 with edge list
+    g.edges, by depth-first search."""
+    adj: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen: set[int] = set()
+    count = 0
+    for s in range(g.n):
+        if s in seen:
+            continue
+        count += 1
+        seen.add(s)
+        stack = [s]
+        while stack:
+            for w in adj[stack.pop()] - seen:
+                seen.add(w)
+                stack.append(w)
+    return count
 
 
 def naive_chi(m: Matroid) -> int:
@@ -27,8 +122,8 @@ def naive_chi(m: Matroid) -> int:
     if not m.points:
         return 0
     for k in range(m.dim, -1, -1):
-        for w in enumerate_subspaces(m.dim, k):
-            if all(not w.contains_int(p) for p in m.points):
+        for w in subspaces(m.dim, k):
+            if m.points.isdisjoint(w):
                 return m.dim - k
     raise AssertionError("the zero subspace is disjoint from everything")
 
@@ -43,7 +138,7 @@ def _independent_tuples(n: int, r: int) -> tuple[tuple[int, ...], ...]:
         prefix + (v,)
         for prefix in _independent_tuples(n, r - 1)
         for v in range(1, 1 << n)
-        if rank_ints(prefix + (v,)) == r
+        if rank(prefix + (v,)) == r
     )
 
 
@@ -51,14 +146,8 @@ def _naive_images(host: Matroid, pattern: Matroid):
     """Try every injective-on-span linear map and check all points at the
     end; no schedules, no pruning.  Yields the image of each map that
     sends every pattern point to a host point."""
-    basis, pivots = rref_ints(pattern.points)
-    coords = []
-    for p in pattern.points:
-        c = 0
-        for i, piv in enumerate(pivots):
-            if (p >> piv) & 1:
-                c |= 1 << i
-        coords.append(c)
+    basis, coeff = coordinates(pattern.points)
+    coords = [coeff[p] for p in pattern.points]
     r = len(basis)
     for imgs in _independent_tuples(host.dim, r):
         image = []
@@ -119,7 +208,7 @@ def random_gl(rng: random.Random, n: int) -> list[int]:
     """A random invertible map of F_2^n as a lookup table over 0..2^n-1."""
     while True:
         cols = [rng.randrange(1, 1 << n) for _ in range(n)]
-        if rank_ints(cols) == n:
+        if rank(cols) == n:
             break
     table = [0] * (1 << n)
     for v in range(1, 1 << n):

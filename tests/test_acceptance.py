@@ -134,8 +134,8 @@ def test_criterion_05_chi_log_formula(capfd):
 
 def test_criterion_06_aes_analogue(capfd):
     with criterion(capfd, 6, 120.0):
-        assert aes_check(4, 2) is True
-        size, witness = aes_probe(4, 2)
+        assert aes_check() is True
+        size, witness = aes_probe()
         assert size == 5  # frozen constant from the exhaustive run
         assert witness.rank == 4 and chi(witness) > 1
         for a, b in combinations(witness.sorted_points(), 2):

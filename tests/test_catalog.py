@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -14,7 +15,8 @@ from bmx.catalog import KIND, Catalog, entry_key, verify_certificate
 from bmx.errors import UsageError
 from bmx.extremal import Family, TuranCertificate, ex_search
 from bmx.graphs import SimpleGraph
-from bmx.matroid import Matroid, free, graphic, pg, to_compact
+from bmx.matroid import Matroid, free, graphic, pg, recoordinatize, to_compact
+from bmx.morphism import canonical_key
 
 
 @pytest.fixture
@@ -24,6 +26,12 @@ def cat(tmp_path):
 
 def _cert(n=3):
     return ex_search(Family.from_matroids([pg(2)]), n)
+
+
+def _k4() -> Matroid:
+    """M(K4), of rank 3, declared in dimension 4."""
+    return graphic(SimpleGraph.from_edges(
+        4, [(u, v) for u in range(4) for v in range(u + 1, 4)]))
 
 
 def test_put_get_roundtrip(cat):
@@ -50,6 +58,12 @@ def test_entry_key_is_isomorphism_invariant():
     # the query kind stays in the hashed blob, so stored keys stay valid
     assert a == ("32cefa7186e73f38224cb40f58539c2b"
                  "0c1ace34d9fdc9a1837e21410f04b645")
+    # nor does the dimension a member is declared in, even one past the
+    # canonizer's limit of 8
+    k4 = _k4()
+    keys = {entry_key((m,), 3) for m in (recoordinatize(k4), k4,
+            Matroid(5, k4.points), Matroid(13, k4.points))}
+    assert len(keys) == 1
 
 
 def test_atomic_layout(cat):
@@ -179,12 +193,42 @@ def test_uncertified_entries_are_refused(cat):
     assert (cat.root / "quarantine" / f"{key}.json").is_file()
 
 
+def test_lookup_hits_another_declaration(cat):
+    cert = ex_search(Family.from_matroids([_k4()]), 3)
+    key = cat.put(cert)
+    hit = cat.lookup(Family.from_matroids([recoordinatize(_k4())]), 3)
+    assert hit is not None and hit.key == key and hit.certificate == cert
+
+
+def test_entry_under_a_declared_dimension_key_is_quarantined(cat):
+    # an entry stored while keys hashed the declared dimension: its
+    # filename is not the key recomputed from its family, so no lookup
+    # reaches it and ``cache verify`` quarantines it
+    k4 = _k4()
+    cert = ex_search(Family.from_matroids([k4]), 3)
+    k = canonical_key(k4)
+    blob = json.dumps({"kind": KIND, "n": 3, "family": [f"{k.dim}:{k.bits}"]},
+                      sort_keys=True)
+    old = hashlib.sha256(blob.encode()).hexdigest()
+    assert old != entry_key((k4,), 3)
+    path = cat.root / old[:2] / old[2:4] / f"{old}.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({
+        "key": old, "kind": KIND, "created_at": "2026-01-01T00:00:00Z",
+        "version": __version__, "payload": cert.to_json_dict()}))
+    assert cat.lookup(Family.from_matroids([k4]), 3) is None
+    report = cat.verify_all()
+    assert report.failures == (
+        (old, "entry key does not match its family and n"),)
+    assert (cat.root / "quarantine" / f"{old}.json").is_file()
+    assert not path.exists()
+
+
 def test_entry_of_the_declared_dimension_reading_is_quarantined(cat):
     # an entry in the old form: M(K4) is declared in dimension 4, so a
     # dimension gate let PG(2,2) pass as M(K4)-free and ex({M(K4)}, 3)
     # read 7; containment now asks only that the rank, 3, fit
-    k4 = graphic(SimpleGraph.from_edges(
-        4, [(u, v) for u in range(4) for v in range(u + 1, 4)]))
+    k4 = _k4()
     stale = TuranCertificate(
         family=(k4,), n=3, value=7, witness=pg(3), method="branch-bound",
         certified=True, nodes=0, elapsed_ms=0)

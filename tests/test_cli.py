@@ -122,6 +122,20 @@ def test_decompose(capsys, tmp_path):
     assert len(d["members"]) == 2
 
 
+def test_decompose_of_a_member_declared_above_its_rank(capsys, tmp_path):
+    # a triangle declared in dimension 9, past the rank <= 8 limit,
+    # decomposes as the one declared in dimension 2 does
+    outs = []
+    for dim in (2, 9):
+        p = tmp_path / f"tri{dim}.bm1"
+        p.write_text(to_bm1(Matroid(dim, pg(2).points)))
+        code, out = invoke(capsys, "decompose", str(p), "--format", "json")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[1])["members"] == ["bm:1:01"]
+
+
 def test_ex_and_cache_stability(capsys, tmp_path, tri_file):
     cache = str(tmp_path / "cache")
     code, out1 = invoke(capsys, "ex", tri_file, "--n", "4",

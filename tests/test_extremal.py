@@ -22,7 +22,6 @@ from bmx.extremal import (
     maintech_rhs,
     nearest_bose_burton,
 )
-from bmx.gf2core import enumerate_subspaces
 from bmx.graphs import SimpleGraph
 from bmx.matroid import (
     Matroid,
@@ -43,7 +42,7 @@ from bmx.morphism import (
     count_restrictions,
     isomorphic,
 )
-from conftest import random_matroid, time_budget
+from conftest import random_gl, random_matroid, subspaces, time_budget
 
 
 def complete_graphic(t: int) -> Matroid:
@@ -332,8 +331,8 @@ def test_decomposition_invariants():
         for d in dfam.members:
             witnessed = False
             for src in fam.members:
-                for w in enumerate_subspaces(src.dim, src.dim - k):
-                    sl = frozenset(p for p in src.points if w.contains_int(p))
+                for w in subspaces(src.dim, src.dim - k):
+                    sl = src.points & w
                     if isomorphic(recoordinatize(Matroid(src.dim, sl)), d):
                         if chi(delete(src, sl)) <= k:
                             witnessed = True
@@ -397,6 +396,34 @@ def test_critical_edge_check():
     assert not critical_edge_check(ag(3))
 
 
+def test_a_member_is_computed_on_its_span(rng):
+    # k, the decomposition family and the tier of a member do not depend
+    # on the dimension it is declared in: the same matroid at its rank, at
+    # rank + 1 and rank + 2 (under random injective maps), and that last
+    # point set once more in dimension 9, past the rank <= 8 guards
+    checked = 0
+    while checked < 12:
+        base = recoordinatize(random_matroid(rng, rng.randint(2, 4),
+                                             rng.uniform(0.4, 0.9)))
+        if base.dim == 0 or chi(base) < 2:
+            continue
+        checked += 1
+        declared = []
+        for extra in (0, 1, 2):
+            table = random_gl(rng, base.dim + extra)
+            declared.append(Matroid(base.dim + extra,
+                                    frozenset(table[p] for p in base.points)))
+        declared.append(Matroid(9, declared[-1].points))
+        want = None
+        for m in declared:
+            fam = Family.from_matroids([m])
+            assert fam.spans == (recoordinatize(m),)
+            got = (fam.k, decomposition_family(fam).members,
+                   corollary_tier(fam))
+            want = want or got
+            assert got == want, m
+
+
 def test_corollary_tier():
     rep = corollary_tier(Family.from_matroids([complete_graphic(6)]))
     assert rep.regime == "exact-constant"
@@ -424,9 +451,8 @@ def test_nearest_bb_ag5_exhaustive():
     m = Matroid(5, ag(5).points)
     rep = nearest_bose_burton(m, 1)
     best = min(
-        len(m.points ^ frozenset(
-            p for p in range(1, 32) if not w.contains_int(p)))
-        for w in enumerate_subspaces(5, 4)
+        len(m.points ^ frozenset(p for p in range(1, 32) if p not in w))
+        for w in subspaces(5, 4)
     )
     assert rep.distance == best == 0  # ag(5) is a hyperplane complement
 
@@ -443,20 +469,11 @@ def test_nearest_bb_guards():
 # --- the density theorem at rank 4 ------------------------------------------
 
 def test_aes_check_and_probe():
-    assert aes_check(4, 2) is True
-    size, witness = aes_probe(4, 2)
+    assert aes_check() is True
+    size, witness = aes_probe()
     assert size == 5  # frozen regression constant from the exhaustive run
     assert witness.rank == 4 and chi(witness) > 1
     # witness is triangle-free
     pts = witness.sorted_points()
     for a, b in combinations(pts, 2):
         assert (a ^ b) not in witness.points
-
-
-def test_aes_guards():
-    with pytest.raises(UsageError):
-        aes_check(3, 2)  # r < t + 2
-    with pytest.raises(CapacityError):
-        aes_check(5, 2)
-    with pytest.raises(UsageError):
-        aes_probe(3, 2)

@@ -2,36 +2,22 @@
 
 from __future__ import annotations
 
-from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from bmx.gf2core import (
-    enumerate_subspaces,
-    gaussian_binomial,
-    parity_masks,
-    rank_ints,
-    reduce_against,
-    rref_ints,
-)
+from bmx.gf2core import enumerate_subspaces, parity_masks, rank_ints, rref_ints
+from conftest import gaussian_binomial, rank, span, subspaces
 
 vectors4 = st.integers(min_value=0, max_value=15)
-
-
-def _span(vs):
-    """Every sum of a subset of vs, by brute force."""
-    out = {0}
-    for v in vs:
-        out |= {x ^ v for x in out}
-    return out
 
 
 @given(st.lists(vectors4, max_size=8))
 def test_rank_matches_rref(vs):
     basis, pivots = rref_ints(vs)
-    assert rank_ints(vs) == len(basis)
+    assert rank_ints(vs) == len(basis) == rank(vs)
+    assert span(basis) == span(vs)
     assert len(basis) == len(set(pivots))
     # RREF: each pivot bit appears in exactly its own row
     for row, piv in zip(basis, pivots):
@@ -41,24 +27,19 @@ def test_rank_matches_rref(vs):
                 assert not (other >> piv) & 1
 
 
-@given(st.lists(vectors4, max_size=8), vectors4)
-def test_reduce_against_membership(vs, v):
-    basis, pivots = rref_ints(vs)
-    assert (reduce_against(basis, pivots, v) == 0) == (v in _span(vs))
-
-
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(5) for k in range(n + 1)])
 def test_subspace_enumeration_count(n, k):
     subs = list(enumerate_subspaces(n, k))
     assert len(subs) == gaussian_binomial(n, k)
-    # pairwise distinct element sets, each the span of the basis
-    members = [frozenset(v for v in range(1 << n) if w.contains_int(v))
-               for w in subs]
-    assert len(set(members)) == len(subs)
-    for w, elems in zip(subs, members):
-        assert w.dim == k
-        assert elems == _span(w.basis)
-        assert len(elems) == 1 << k
+    # each basis spans a distinct subspace, and every subspace is met
+    assert all(len(w) == rank(w) == k for w in subs)
+    assert {span(w) for w in subs} == set(subspaces(n, k))
+    # reduced row-echelon bases, grouped by pivot set in ascending order
+    pivots = [tuple(v & -v for v in w) for w in subs]
+    assert pivots == sorted(pivots)
+    for w, pivs in zip(subs, pivots):
+        assert list(pivs) == sorted(pivs)
+        assert all(v & p == (p if v & -v == p else 0) for v in w for p in pivs)
 
 
 @pytest.mark.parametrize("n,c", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 2)])
@@ -69,12 +50,12 @@ def test_codim_enumeration(n, c):
     kernels = set()
     for dual in enumerate_subspaces(n, c):
         outside = 0
-        for a in dual.basis:
+        for a in dual:
             outside |= masks[a]
         kernel = frozenset(p for p in range(1, 1 << n)
                            if not outside >> (p - 1) & 1)
         assert all((a & p).bit_count() % 2 == 0
-                   for a in dual.basis for p in kernel)
+                   for a in dual for p in kernel)
         assert len(kernel) == (1 << (n - c)) - 1
         kernels.add(kernel)
     assert len(kernels) == gaussian_binomial(n, c)
@@ -95,12 +76,12 @@ def test_parity_masks_match_brute_force():
 
 def test_parity_masks_complement_hyperplanes():
     # the points a functional does not see form the hyperplane ker(a)
-    for w in enumerate_subspaces(3, 2):
+    for w in subspaces(3, 2):
         a = next(a for a in range(1, 8)
-                 if all((a & b).bit_count() % 2 == 0 for b in w.basis))
+                 if all((a & b).bit_count() % 2 == 0 for b in w))
         outside = parity_masks(3)[a]
         for p in range(1, 8):
-            assert bool((outside >> (p - 1)) & 1) != w.contains_int(p)
+            assert bool((outside >> (p - 1)) & 1) != (p in w)
 
 
 @given(st.integers(0, 8), st.integers(0, 8))

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from bmx import kernels
 from bmx.errors import CapacityError
-from bmx.gf2core import rank_ints
 from bmx.graphs import SimpleGraph
 from bmx.matroid import (
     Matroid,
@@ -42,6 +41,7 @@ from conftest import (
     naive_isomorphic,
     random_gl,
     random_matroid,
+    rank,
     time_budget,
 )
 
@@ -282,7 +282,7 @@ def test_schedule_closes_each_point_once():
     with time_budget(30):
         for pattern in patterns:
             sched = _schedule(pattern.mask)
-            assert rank_ints(sched.basis) == len(sched.basis) == pattern.rank
+            assert rank(sched.basis) == len(sched.basis) == pattern.rank
             closed = []
             for j, cs in enumerate(sched.checks):
                 for c in cs:
@@ -393,7 +393,7 @@ def _lex_least_embedding(host: Matroid, basis, pattern: Matroid):
                 coeffs.append(c)
                 break
     for imgs in product(host.sorted_points(), repeat=r):
-        if rank_ints(imgs) < r:
+        if rank(imgs) < r:
             continue
         for c in coeffs:
             x = 0
