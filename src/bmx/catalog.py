@@ -6,7 +6,7 @@ concurrent readers and writers never see a partial entry.  Entries are
 re-verified on every read: a payload that fails verification, or whose
 key recomputed from its family and n is not its filename, is quarantined
 with a diagnostic, never served.  Keys are computed over the members'
-spans (``span_key``).
+spans (``span_key``), and a lookup hit answers with the asked members.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from bmx import __version__
@@ -119,7 +119,10 @@ class Catalog:
             raise
         return key
 
-    def _load(self, path: Path) -> tuple[CatalogEntry | None, str | None]:
+    def _load(self, path: Path, family: tuple[Matroid, ...] | None = None
+              ) -> tuple[CatalogEntry | None, str | None]:
+        """Given ``family``, answer with it in place of the stored members;
+        the key check binds them, as equal span keys mean isomorphism."""
         try:
             d = json.loads(path.read_text())
             entry = CatalogEntry(
@@ -129,14 +132,16 @@ class Catalog:
             )
         except Exception as exc:  # corrupt JSON or bad encodings
             return None, f"unreadable entry: {exc}"
-        diag = verify_certificate(entry.certificate)
-        if diag is not None:
-            return None, diag
         if entry.key != path.stem:
             return None, "entry key does not match its filename"
         cert = entry.certificate
         if entry_key(cert.family, cert.n) != entry.key:
             return None, "entry key does not match its family and n"
+        if family is not None:
+            entry = replace(entry, certificate=replace(cert, family=family))
+        diag = verify_certificate(entry.certificate)
+        if diag is not None:
+            return None, diag
         return entry, None
 
     def _quarantine(self, path: Path, diag: str) -> None:
@@ -148,19 +153,19 @@ class Catalog:
             return  # a concurrent reader has quarantined it already
         (qdir / (path.stem + ".reason")).write_text(diag + "\n")
 
-    def get(self, key: str) -> CatalogEntry | None:
+    def get(self, key: str, family: tuple[Matroid, ...] | None = None
+            ) -> CatalogEntry | None:
         path = self._path(key)
         if not path.is_file():
             return None
-        entry, diag = self._load(path)
+        entry, diag = self._load(path, family)
         if entry is None:
             assert diag is not None
             self._quarantine(path, diag)
-            return None
         return entry
 
     def lookup(self, family: Family, n: int) -> CatalogEntry | None:
-        return self.get(entry_key(family.members, n))
+        return self.get(entry_key(family.members, n), family.members)
 
     def verify_all(self) -> VerifyReport:
         ok: list[str] = []

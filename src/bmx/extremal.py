@@ -415,7 +415,6 @@ class MaintechResult:
 
     value: int
     k: int
-    dfamily: Family
     sub_certificate: TuranCertificate
     witness: Matroid
     witness_free: bool
@@ -436,7 +435,7 @@ def maintech_rhs(family: Family, n: int,
     else:
         witness = lift(LiftSpec(sub.witness, n, k))
     witness_free = all(not contains(witness, m) for m in family.members)
-    return MaintechResult(value, k, dfam, sub, witness, witness_free)
+    return MaintechResult(value, k, sub, witness, witness_free)
 
 
 def clique_constant(t: int) -> tuple[int, int]:
@@ -452,11 +451,13 @@ def clique_constant(t: int) -> tuple[int, int]:
 
 
 def critical_edge_check(m: Matroid) -> bool:
-    """True iff deleting some single element lowers the critical number."""
-    if m.dim > 8:
-        raise CapacityError("critical-edge check limited to dim <= 8")
-    c = chi(m)
-    return any(chi(delete(m, {e})) < c for e in m.points)
+    """True iff deleting some single element lowers the critical number;
+    computed on m's span."""
+    s = recoordinatize(m)
+    if s.dim > 8:
+        raise CapacityError("critical-edge check limited to rank <= 8")
+    c = chi(s)
+    return any(chi(delete(s, {e})) < c for e in s.points)
 
 
 @dataclass(frozen=True)
@@ -526,7 +527,6 @@ class StabilityReport:
     Bose-Burton geometry is the set of points that one of them sees.
     """
 
-    matroid: Matroid
     functionals: tuple[int, ...]
     bose_burton: Matroid
     distance: int
@@ -555,7 +555,7 @@ def nearest_bose_burton(m: Matroid, k: int) -> StabilityReport:
     assert best is not None
     d, functionals, b_mask = best
     return StabilityReport(
-        matroid=m, functionals=functionals,
+        functionals=functionals,
         bose_burton=Matroid.from_mask(m.dim, b_mask),
         distance=d, density=m.size / (1 << m.dim),
     )

@@ -6,10 +6,10 @@ vector encoding); ``mask`` gives the characteristic bitset over indices
 1..2^n-1.
 
 Containment, restriction counts and ex depend only on a pattern's rank,
-not on its declared dimension, and a forbidden family's critical number,
-decomposition family and catalog key are computed on its members' spans
-(``recoordinatize``); canonical keys and ``isomorphic`` still compare the
-declared dimension.
+not on its declared dimension.  The critical number ``chi`` is computed
+on a matroid's span (``recoordinatize``), and so are a forbidden
+family's critical elements, decomposition family and catalog key;
+canonical keys and ``isomorphic`` still compare the declared dimension.
 """
 
 from __future__ import annotations
@@ -175,29 +175,24 @@ def recoordinatize(m: Matroid) -> Matroid:
 
 
 def chi(m: Matroid) -> int:
-    """Critical number: least codimension of a subspace disjoint from m."""
-    return chi_subspace(m)[0]
+    """Critical number: least codimension of a subspace disjoint from m,
+    computed on m's span (``recoordinatize``), which alone decides it.
 
-
-def chi_subspace(m: Matroid) -> tuple[int, tuple[int, ...]]:
-    """Critical number together with a witness set of parity functionals.
-
-    Searches ascending c; at each level a branch-and-bound over parity
-    functionals looks for c functionals that jointly cover every point.
-    The search starts at the counting bound: a codimension-c subspace
-    that misses m has 2^(n-c) - 1 points, all among the 2^n - 1 - |m|
-    points outside m.
+    Searches ascending c from the counting bound (a codimension-c
+    subspace that misses m has 2^(r-c) - 1 points, all among the
+    2^r - 1 - |m| points of the span outside m); ``kernels.cover_exists``
+    looks for c parity functionals that jointly cover every point.
     """
-    if m.dim > CHI_MAX_DIM:
-        raise CapacityError(f"critical number limited to dim <= {CHI_MAX_DIM}")
-    if not m.points:
-        return 0, ()
-    free = (1 << m.dim) - len(m.points)
-    for c in range(max(1, m.dim - free.bit_length() + 1), m.dim + 1):
-        funs = kernels.cover_exists(m.dim, m.mask, c)
-        if funs is not None:
-            return c, tuple(funs)
-    raise AssertionError("full geometry is always covered at c = dim")
+    s = recoordinatize(m)
+    if s.dim > CHI_MAX_DIM:
+        raise CapacityError(f"critical number limited to rank <= {CHI_MAX_DIM}")
+    if not s.points:
+        return 0
+    free = (1 << s.dim) - len(s.points)
+    for c in range(max(1, s.dim - free.bit_length() + 1), s.dim + 1):
+        if kernels.cover_exists(s.dim, s.mask, c) is not None:
+            return c
+    raise AssertionError("full geometry is always covered at c = rank")
 
 
 # --- text formats -----------------------------------------------------------

@@ -166,6 +166,8 @@ def _naive_images(host: Matroid, pattern: Matroid):
 def naive_contains(host: Matroid, pattern: Matroid) -> bool:
     if not pattern.points:
         return True
+    if len(pattern.points) > len(host.points):
+        return False  # an injective image needs as many host points
     return any(True for _image in _naive_images(host, pattern))
 
 
@@ -193,8 +195,8 @@ _GL_CACHE: dict[int, list[tuple[int, ...]]] = {}
 
 
 def naive_isomorphic(a: Matroid, b: Matroid) -> bool:
-    if a.dim != b.dim:
-        return False
+    if a.dim != b.dim or len(a.points) != len(b.points):
+        return False  # an invertible map keeps the number of points
     if a.dim not in _GL_CACHE:
         _GL_CACHE[a.dim] = gl_maps(a.dim)
     bpts = b.points

@@ -121,9 +121,9 @@ def test_quarantine_survives_a_concurrent_move(cat):
     assert (cat.root / "quarantine" / f"{key}.json").is_file()
 
 
-def _put_many(root, start, times):
+def _put_many(root, payload, start, times):
     cat = Catalog(root)
-    cert = _cert()
+    cert = TuranCertificate.from_json_dict(payload)
     start.wait(timeout=60)
     for _ in range(times):
         cat.put(cert)
@@ -131,11 +131,15 @@ def _put_many(root, start, times):
 
 def test_concurrent_writers_of_one_key(tmp_path):
     # three processes rewrite one entry at once: every write must
-    # succeed, and the entry must read back intact
+    # succeed, and the entry must read back intact.  The certificate is
+    # computed once and handed to the writers, so every copy carries one
+    # elapsed_ms
     root = tmp_path / "cache"
+    cert = _cert()
     ctx = multiprocessing.get_context("spawn")
     start = ctx.Barrier(3)
-    procs = [ctx.Process(target=_put_many, args=(root, start, 100))
+    procs = [ctx.Process(target=_put_many,
+                         args=(root, cert.to_json_dict(), start, 100))
              for _ in range(3)]
     for proc in procs:
         proc.start()
@@ -144,7 +148,6 @@ def test_concurrent_writers_of_one_key(tmp_path):
         if proc.is_alive():
             proc.kill()
     assert [proc.exitcode for proc in procs] == [0, 0, 0]
-    cert = _cert()
     entry = Catalog(root).get(entry_key(cert.family, cert.n))
     assert entry is not None and entry.certificate == cert
     assert not list(root.glob("**/*.tmp"))
@@ -194,10 +197,15 @@ def test_uncertified_entries_are_refused(cat):
 
 
 def test_lookup_hits_another_declaration(cat):
+    # the hit answers with the family that was asked for, not the one
+    # that was stored
     cert = ex_search(Family.from_matroids([_k4()]), 3)
     key = cat.put(cert)
-    hit = cat.lookup(Family.from_matroids([recoordinatize(_k4())]), 3)
-    assert hit is not None and hit.key == key and hit.certificate == cert
+    asked = Family.from_matroids([recoordinatize(_k4())])
+    hit = cat.lookup(asked, 3)
+    assert hit is not None and hit.key == key
+    assert hit.certificate == dataclasses.replace(cert, family=asked.members)
+    assert hit.certificate.family == asked.members != cert.family
 
 
 def test_entry_under_a_declared_dimension_key_is_quarantined(cat):

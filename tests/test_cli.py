@@ -10,7 +10,18 @@ import pytest
 
 from bmx import __version__, extremal
 from bmx.cli import COMMANDS, run
-from bmx.matroid import Matroid, bb, free, from_bm1, pg, to_bm1, to_compact
+from bmx.graphs import SimpleGraph
+from bmx.matroid import (
+    Matroid,
+    bb,
+    free,
+    from_bm1,
+    graphic,
+    pg,
+    recoordinatize,
+    to_bm1,
+    to_compact,
+)
 from conftest import random_gl, time_budget
 
 
@@ -51,6 +62,19 @@ def test_stat_json(capsys, tri_file):
     assert code == 0
     d = json.loads(out)
     assert d["size"] == 3 and d["chi"] == 2 and d["schema"] == 1
+
+
+def test_stat_computes_chi_on_the_span(capsys, tmp_path):
+    # a triangle declared in dimension 13, past the rank <= 12 limit of
+    # the critical number, has chi 2 as in dimension 2
+    p = tmp_path / "tri13.bm1"
+    p.write_text(to_bm1(Matroid(13, pg(2).points)))
+    code, out = invoke(capsys, "stat", str(p))
+    assert code == 0 and "dim 13" in out and "chi 2" in out
+    code, out = invoke(capsys, "stat", str(p), "--format", "json")
+    assert code == 0
+    d = json.loads(out)
+    assert (d["dim"], d["rank"], d["chi"]) == (13, 2, 2)
 
 
 def test_construct_all_kinds(capsys, tmp_path, tri_file):
@@ -112,7 +136,6 @@ def test_compact_and_stdin(capsys, monkeypatch, tmp_path):
 
 
 def test_decompose(capsys, tmp_path):
-    from bmx.matroid import graphic
     from bmx.verify import octahedron
     p = tmp_path / "o6.bm1"
     p.write_text(to_bm1(graphic(octahedron())))
@@ -151,6 +174,38 @@ def test_ex_and_cache_stability(capsys, tmp_path, tri_file):
     assert code == 0 and "checked 1" in out
 
 
+def test_a_cached_ex_answers_with_the_asked_family(capsys, tmp_path):
+    # M(K4) declared in dimension 4, in dimension 3 and under a random
+    # invertible map share one catalog entry; whichever is stored first,
+    # each answer is the uncached one, elapsed_ms aside
+    k4 = graphic(SimpleGraph.from_edges(
+        4, [(u, v) for u in range(4) for v in range(u + 1, 4)]))
+    table = random_gl(random.Random(5), 4)
+    paths = []
+    for i, m in enumerate([k4, recoordinatize(k4),
+                           Matroid(4, frozenset(table[p] for p in k4.points))]):
+        path = tmp_path / f"k4-{i}.bm1"
+        path.write_text(to_bm1(m))
+        paths.append(str(path))
+
+    def answer(path, *cache):
+        code, out = invoke(capsys, "ex", path, "--n", "3", "--format", "json",
+                           *cache)
+        assert code == 0
+        d = json.loads(out)
+        del d["elapsed_ms"]
+        return d
+
+    fresh = {p: answer(p) for p in paths}
+    assert len({tuple(d["family"]) for d in fresh.values()}) == 3
+    for i, order in enumerate((paths, paths[::-1])):
+        cache = str(tmp_path / f"cache{i}")
+        for p in order:
+            assert answer(p, "--cache-dir", cache) == fresh[p]
+        code, out = invoke(capsys, "cache", "verify", "--cache-dir", cache)
+        assert code == 0 and "checked 1" in out
+
+
 def test_ex_text_output(capsys, tri_file):
     code, out = invoke(capsys, "ex", tri_file, "--n", "3")
     assert code == 0
@@ -159,8 +214,6 @@ def test_ex_text_output(capsys, tri_file):
 
 def test_ex_k4_n3_is_the_matroid_answer(capsys, tmp_path):
     # M(K4) is declared in dimension 4 but has rank 3, so it fits in n = 3
-    from bmx.graphs import SimpleGraph
-    from bmx.matroid import graphic
     p = tmp_path / "k4.bm1"
     p.write_text(to_bm1(graphic(SimpleGraph.from_edges(
         4, [(u, v) for u in range(4) for v in range(u + 1, 4)]))))

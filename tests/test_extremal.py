@@ -394,6 +394,9 @@ def test_critical_edge_check():
     assert critical_edge_check(fano)
     assert not critical_edge_check(bb(4, 2))
     assert not critical_edge_check(ag(3))
+    # computed on the span: a triangle declared in dimension 9, past the
+    # rank <= 8 limit
+    assert critical_edge_check(Matroid(9, frozenset({1, 2, 3})))
 
 
 def test_a_member_is_computed_on_its_span(rng):

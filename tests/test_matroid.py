@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bmx import kernels
 from bmx.errors import CapacityError, FormatError, UsageError
 from bmx.gf2core import enumerate_subspaces, parity_masks
 from bmx.graphs import SimpleGraph
@@ -17,7 +18,6 @@ from bmx.matroid import (
     ag,
     bb,
     chi,
-    chi_subspace,
     circuit,
     delete,
     free,
@@ -164,13 +164,15 @@ def test_chi_matches_naive_oracle():
         assert chi(m) == naive_chi(m), m
 
 
-def test_chi_subspace_witness():
+def test_cover_exists_witness():
     for m in [pg(3), bb(4, 2), ag(4), graphic_k(5)]:
-        c, funs = chi_subspace(m)
-        assert c == chi(m) and len(funs) <= c
+        c = chi(m)
+        funs = kernels.cover_exists(m.dim, m.mask, c)
+        assert funs is not None and len(funs) <= c
         # every point is covered by some witness functional
         for p in m.points:
             assert any((a & p).bit_count() & 1 for a in funs)
+        assert kernels.cover_exists(m.dim, m.mask, c - 1) is None
 
 
 @given(st.integers(1, 5), st.data())
@@ -189,8 +191,10 @@ def test_chi_dim7():
 
 
 def test_chi_capacity():
-    with pytest.raises(CapacityError):
-        chi(Matroid(13, frozenset({1})))
+    # the limit is on the rank: a point declared in dimension 13 has rank 1
+    assert chi(Matroid(13, frozenset({1}))) == 1
+    with pytest.raises(CapacityError, match="rank <= 12"):
+        chi(free(13))
 
 
 # --- formats ----------------------------------------------------------------
