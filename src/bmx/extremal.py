@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations
 
-from bmx import kernels
+from bmx import kernels, morphism
 from bmx.errors import CapacityError, UsageError
 from bmx.gf2core import enumerate_subspaces, parity_masks, rank_ints
 from bmx.matroid import (
@@ -118,9 +118,6 @@ class TuranCertificate:
         )
 
 
-_EX_MAX_COPIES = 5_000_000
-
-
 def _all_copies(family: Family, n: int,
                 deadline: float | None = None) -> list[int]:
     """Point-set bitsets of every forbidden restriction inside the full
@@ -129,7 +126,7 @@ def _all_copies(family: Family, n: int,
     A member of rank above n has no copy and is skipped.  The members are
     pairwise non-isomorphic, so no copy belongs to two of them.  Raises
     CapacityError before enumerating anything when the members have more
-    than ``_EX_MAX_COPIES`` copies in all (``_copy_count``).  The
+    than ``morphism._MAX_COPIES`` copies in all (``_copy_count``).  The
     enumerator yields each copy of a member once, and the deadline is
     checked as copies arrive and once more after the sort: TimeoutError
     once ``time.monotonic()`` passes ``deadline``.
@@ -138,7 +135,7 @@ def _all_copies(family: Family, n: int,
     host_mask = (1 << ((1 << n) - 1)) - 1
     scheds = [_schedule_cached(m.mask)
               for m in family.members if m.rank <= n]
-    if sum(_copy_count(s, n) for s in scheds) > _EX_MAX_COPIES:
+    if sum(_copy_count(s, n) for s in scheds) > morphism._MAX_COPIES:
         raise CapacityError("too many forbidden restrictions to index")
     copies: list[int] = []
     for sched in scheds:
@@ -261,8 +258,11 @@ def ex_search(family: Family, n: int,
     ``nodes`` counts the search nodes that passed the size test.  The
     deadline also holds while the copies are indexed: if it passes there,
     the certificate is uncertified, with value 0, an empty witness and 0
-    nodes.
+    nodes.  ``time_limit`` must be >= 0 (``inf`` means none); a NaN
+    would never pass and is refused.
     """
+    if time_limit is not None and not time_limit >= 0:
+        raise UsageError("time limit must be >= 0")
     if n < 0:
         raise UsageError("need n >= 0")
     if n > EX_MAX_DIM:

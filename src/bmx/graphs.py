@@ -1,5 +1,11 @@
-"""Simple graphs: graph6 ingestion, exact coloring, forest removal, and
-the matching/cut data behind the cubic-graph remark."""
+"""Simple graphs: graph6 and edge-list ingestion, and the graph side of
+the paper's graphic examples.
+
+Every coloring question here is one exact test, ``_k_colorable``: the
+chromatic number is the least k it accepts, a forest removal succeeds
+when the rest passes it at the target, and the cubic-graph remark rejects
+a graph that passes it at k = 2 (a bipartite one).  The cubic remark
+also computes the least matching whose complement is a cut."""
 
 from __future__ import annotations
 
@@ -42,34 +48,9 @@ class SimpleGraph:
             adj[v] |= 1 << u
         return adj
 
-    def degree_sequence(self) -> list[int]:
-        adj = self.adjacency_masks()
-        return [a.bit_count() for a in adj]
-
     def without_edges(self, removed: Iterable[tuple[int, int]]) -> "SimpleGraph":
         gone = {(min(u, v), max(u, v)) for u, v in removed}
         return SimpleGraph(self.n, tuple(e for e in self.edges if e not in gone))
-
-    def is_bipartite(self) -> bool:
-        adj = self.adjacency_masks()
-        color = [-1] * self.n
-        for s in range(self.n):
-            if color[s] >= 0:
-                continue
-            color[s] = 0
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                nbrs = adj[u]
-                while nbrs:
-                    v = (nbrs & -nbrs).bit_length() - 1
-                    nbrs &= nbrs - 1
-                    if color[v] < 0:
-                        color[v] = color[u] ^ 1
-                        stack.append(v)
-                    elif color[v] == color[u]:
-                        return False
-        return True
 
 
 def is_acyclic(n: int, edges: Iterable[tuple[int, int]]) -> bool:
@@ -155,13 +136,15 @@ def parse_edgelist(text: str) -> SimpleGraph:
     return SimpleGraph.from_edges(top + 1, edges)
 
 
-def _k_colorable(adj: list[int], order: list[int], k: int) -> bool:
-    """Backtracking k-coloring with a fresh-color symmetry break."""
-    n = len(order)
+def _k_colorable(adj: list[int], k: int) -> bool:
+    """Exact k-colorability of the graph with adjacency bitsets ``adj``:
+    backtracking over the vertices by descending degree, where a vertex
+    may open at most one fresh color (colors are interchangeable)."""
+    order = sorted(range(len(adj)), key=lambda u: -adj[u].bit_count())
     colors = [-1] * len(adj)
 
     def place(idx: int, used: int) -> bool:
-        if idx == n:
+        if idx == len(order):
             return True
         u = order[idx]
         forbidden = 0
@@ -171,8 +154,7 @@ def _k_colorable(adj: list[int], order: list[int], k: int) -> bool:
             nbrs &= nbrs - 1
             if colors[v] >= 0:
                 forbidden |= 1 << colors[v]
-        top = min(used + 1, k)
-        for c in range(top):
+        for c in range(min(used + 1, k)):
             if (forbidden >> c) & 1:
                 continue
             colors[u] = c
@@ -184,47 +166,16 @@ def _k_colorable(adj: list[int], order: list[int], k: int) -> bool:
     return place(0, 0)
 
 
-def _greedy_clique(adj: list[int]) -> int:
-    n = len(adj)
-    best = 0
-    for s in sorted(range(n), key=lambda u: -adj[u].bit_count()):
-        clique = [s]
-        cand = adj[s]
-        while cand:
-            u = max(
-                (v for v in range(n) if (cand >> v) & 1),
-                key=lambda v: (adj[v] & cand).bit_count(),
-            )
-            clique.append(u)
-            cand &= adj[u]
-        best = max(best, len(clique))
-    return best
-
-
 def chromatic_number(g: SimpleGraph) -> int:
-    """Exact chromatic number by ascending k-colorability checks, bracketed
-    by a greedy clique lower bound and a greedy upper bound."""
+    """Exact chromatic number: the least k >= 1 with ``_k_colorable``, or
+    0 for the graph with no vertices."""
     if g.n == 0:
         return 0
-    if not g.edges:
-        return 1
     adj = g.adjacency_masks()
-    order = sorted(range(g.n), key=lambda u: -adj[u].bit_count())
-    # greedy upper bound
-    colors: dict[int, int] = {}
-    ub = 0
-    for u in order:
-        used = {colors[v] for v in colors if (adj[u] >> v) & 1}
-        c = 0
-        while c in used:
-            c += 1
-        colors[u] = c
-        ub = max(ub, c + 1)
-    lb = max(2, _greedy_clique(adj))
-    for k in range(lb, ub):
-        if _k_colorable(adj, order, k):
-            return k
-    return ub
+    k = 1
+    while not _k_colorable(adj, k):
+        k += 1
+    return k
 
 
 @dataclass(frozen=True)
@@ -239,7 +190,8 @@ class ForestCertificate:
 
 def min_forest_drop(g: SimpleGraph, target: int) -> ForestCertificate | None:
     """Smallest forest F with chi(G - F) <= target, by size-ascending
-    enumeration of acyclic edge subsets; lexicographically least on ties."""
+    enumeration of acyclic edge subsets; lexicographically least on ties.
+    Each candidate costs one ``_k_colorable`` test at ``target``."""
     if target < 1:
         return None
     for s in range(0, g.n):
@@ -247,18 +199,19 @@ def min_forest_drop(g: SimpleGraph, target: int) -> ForestCertificate | None:
             if not is_acyclic(g.n, combo):
                 continue
             rest = g.without_edges(combo)
-            chi_rest = chromatic_number(rest)
-            if chi_rest <= target:
-                return ForestCertificate(tuple(combo), chi_rest, target)
+            if _k_colorable(rest.adjacency_masks(), target):
+                return ForestCertificate(tuple(combo), chromatic_number(rest),
+                                         target)
     return None
 
 
 def cubic_remark_data(g: SimpleGraph) -> tuple[int, int]:
     """For a cubic nonbipartite graph: the minimum size nu of a matching
     whose complement is a cut, and the predicted constant 2^(nu-1) - 1."""
-    if g.n == 0 or any(d != 3 for d in g.degree_sequence()):
+    adj = g.adjacency_masks()
+    if g.n == 0 or any(a.bit_count() != 3 for a in adj):
         raise UsageError("graph must be cubic")
-    if g.is_bipartite():
+    if _k_colorable(adj, 2):
         raise UsageError("graph must be nonbipartite")
     best = None
     for side in range(1 << (g.n - 1)):

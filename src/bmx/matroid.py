@@ -158,9 +158,11 @@ def delete(m: Matroid, xs: Iterable[int]) -> Matroid:
 def recoordinatize(m: Matroid) -> Matroid:
     """Rewrite m over a reduced basis of its span, so dim becomes rank.
 
-    Idempotent on full-rank inputs (up to the fixed basis choice); the
-    empty matroid maps to the dimension-0 empty matroid.
+    A full-rank input is already over its span and is returned as it is;
+    the empty matroid maps to the dimension-0 empty matroid.
     """
+    if m.rank == m.dim:
+        return m
     if not m.points:
         return Matroid(0, frozenset())
     basis, pivots = rref_ints(m.points)

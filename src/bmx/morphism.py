@@ -23,8 +23,6 @@ from bmx.errors import CapacityError
 from bmx.matroid import Matroid, recoordinatize
 
 CANON_MAX_DIM = 8
-COUNT_MAX_HOST_DIM = 6
-COUNT_MAX_PATTERN_RANK = 4
 
 
 @dataclass(frozen=True)
@@ -115,6 +113,11 @@ def _orbit_bounds(checks: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
                 if next(found, None) is not None:
                     slots[x] |= 1 << i
     return tuple(tuple(slots[c] for c in cs) for cs in checks)
+
+
+# the most copies that ``ex`` indexes or ``count_restrictions`` enumerates,
+# checked against ``_copy_count`` before any copy is built
+_MAX_COPIES = 5_000_000
 
 
 def _copy_count(sched: _Schedule, n: int) -> int:
@@ -215,16 +218,16 @@ def isomorphic(a: Matroid, b: Matroid) -> bool:
 
 def count_restrictions(host: Matroid, pattern: Matroid) -> int:
     """Number of distinct subsets of the host that are pattern-restrictions
-    (distinct images, not distinct maps)."""
-    if host.dim > COUNT_MAX_HOST_DIM:
-        raise CapacityError(
-            f"restriction counting limited to host dim <= {COUNT_MAX_HOST_DIM}")
-    if pattern.rank > COUNT_MAX_PATTERN_RANK:
-        raise CapacityError(
-            f"restriction counting limited to pattern rank <= "
-            f"{COUNT_MAX_PATTERN_RANK}")
+    (distinct images, not distinct maps).
+
+    Raises CapacityError before enumerating when the pattern has more than
+    ``_MAX_COPIES`` copies in the full geometry of the host's dimension,
+    the same cap as ``ex``.
+    """
     if pattern.rank > host.dim:
         return 0
     sched = _schedule_cached(pattern.mask)
+    if _copy_count(sched, host.dim) > _MAX_COPIES:
+        raise CapacityError("too many restrictions to count")
     return len(kernels.all_embedding_images(host.sorted_points(), host.mask,
                                             sched.checks, sched.bounds))

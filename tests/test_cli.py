@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from bmx import __version__, extremal
+from bmx import __version__, morphism
 from bmx.cli import COMMANDS, run
 from bmx.graphs import SimpleGraph
 from bmx.matroid import (
@@ -260,9 +260,18 @@ def test_ex_over_the_copy_cap_exits_3_at_once(capsys, tmp_path):
 
 
 def test_ex_copy_cap_exits_3(capsys, monkeypatch, fano_file):
-    monkeypatch.setattr(extremal, "_EX_MAX_COPIES", 100)
+    monkeypatch.setattr(morphism, "_MAX_COPIES", 100)
     assert run(["ex", fano_file, "--n", "5"]) == 3
     assert "too many forbidden restrictions" in capsys.readouterr().err
+
+
+def test_ex_time_limit_nan_exits_2(capsys, tmp_path):
+    # a NaN deadline never passes, so it would search without a limit
+    p = tmp_path / "c4.bm1"
+    p.write_text(to_bm1(Matroid(3, frozenset({1, 2, 4, 7}))))
+    with time_budget(5):
+        assert run(["ex", str(p), "--n", "6", "--time-limit", "nan"]) == 2
+    assert "time limit must be >= 0" in capsys.readouterr().err
 
 
 def test_nearest_bb(capsys, tmp_path):

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from bmx import extremal, kernels
+from bmx import extremal, kernels, morphism
 from bmx.errors import CapacityError, UsageError
 from bmx.extremal import (
     Family,
@@ -171,6 +171,16 @@ def test_ex_budget_expiry():
     assert cert.witness.size == cert.value
 
 
+def test_ex_time_limit_must_be_at_least_zero():
+    # a NaN deadline never passes; infinity is no limit at all
+    fam = Family.from_matroids([pg(2)])
+    for limit in (float("nan"), -1.0):
+        with pytest.raises(UsageError):
+            ex_search(fam, 3, time_limit=limit)
+    cert = ex_search(fam, 4, time_limit=float("inf"))
+    assert cert.certified and cert.value == 8
+
+
 def test_ex_capacity():
     with pytest.raises(CapacityError):
         ex_search(Family.from_matroids([pg(2)]), 9)
@@ -196,11 +206,11 @@ def test_ex_copy_cap_holds_while_indexing(monkeypatch):
         finished.append(True)
 
     monkeypatch.setattr(kernels, "_embeddings", watched)
-    monkeypatch.setattr(extremal, "_EX_MAX_COPIES", 100)
+    monkeypatch.setattr(morphism, "_MAX_COPIES", 100)
     with pytest.raises(CapacityError):
         ex_search(Family.from_matroids([circuit(4)]), 5)  # 1,085 copies
     assert not finished
-    monkeypatch.setattr(extremal, "_EX_MAX_COPIES", 2000)
+    monkeypatch.setattr(morphism, "_MAX_COPIES", 2000)
     assert ex_search(Family.from_matroids([circuit(4)]), 5).value == 7
     assert finished
 

@@ -62,8 +62,8 @@ def test_simple_graph_validation():
 def test_components_and_bipartite():
     g = SimpleGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
     assert component_count(g) == 2
-    assert g.is_bipartite()
-    assert not complete(3).is_bipartite()
+    assert chromatic_number(g) == 2
+    assert chromatic_number(complete(3)) == 3
     assert is_acyclic(5, [(0, 1), (1, 2), (3, 4)])
     assert not is_acyclic(3, [(0, 1), (1, 2), (0, 2)])
 

@@ -139,6 +139,14 @@ def test_recoordinatize():
     assert recoordinatize(Matroid(4, frozenset())).dim == 0
 
 
+def test_recoordinatize_returns_a_full_rank_input_itself():
+    fano = pg(3)
+    assert recoordinatize(fano) is fano
+    deficient = Matroid(4, fano.points)
+    r = recoordinatize(deficient)
+    assert r is not deficient and r.dim == 3 and r.points == fano.points
+
+
 # --- chi --------------------------------------------------------------------
 
 def test_chi_examples():

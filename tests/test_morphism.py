@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmx import kernels
+from bmx import kernels, morphism
 from bmx.errors import CapacityError
 from bmx.graphs import SimpleGraph
 from bmx.matroid import (
@@ -423,6 +423,39 @@ def test_find_embedding_is_the_lex_least_tuple():
             got = kernels.find_embedding(host.sorted_points(), host.mask,
                                          sched.checks, sched.bounds)
             assert got == _lex_least_embedding(host, sched.basis, pattern)
+
+
+def test_counts_beyond_the_old_dimension_and_rank_limits():
+    # the copy cap alone decides: 2,667 triangles in PG(6,2), and the
+    # 63 hyperplanes of PG(5,2) are its copies of PG(4,2)
+    with time_budget(10):
+        assert count_restrictions(pg(7), pg(2)) == 2_667
+        assert count_restrictions(pg(6), pg(5)) == 63
+
+
+def test_count_over_the_copy_cap_builds_no_image(monkeypatch):
+    # the cap of ex, checked against the copy count before any image is
+    # enumerated; scheduling runs pinned searches, so it is done first
+    started = []
+    real = kernels._embeddings
+
+    def watched(*args):
+        started.append(True)
+        yield from real(*args)
+
+    for m in (circuit(4), free(5)):
+        _schedule_cached(m.mask)
+    monkeypatch.setattr(kernels, "_embeddings", watched)
+    # {I5} has 5,249,664 copies in PG(5,2), over the cap of 5 million
+    with time_budget(2), pytest.raises(CapacityError):
+        count_restrictions(pg(6), free(5))
+    monkeypatch.setattr(morphism, "_MAX_COPIES", 100)
+    with pytest.raises(CapacityError):
+        count_restrictions(pg(5), circuit(4))  # 1,085 copies
+    assert not started
+    monkeypatch.setattr(morphism, "_MAX_COPIES", 2000)
+    assert count_restrictions(pg(5), circuit(4)) == 1_085
+    assert started
 
 
 def test_pg3_copies_in_pg5():
