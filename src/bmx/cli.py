@@ -343,6 +343,15 @@ def _register_canon(sub) -> None:
     p.set_defaults(func=_cmd_canon)
 
 
+def _time_limit(text: str) -> float:
+    """A ``--time-limit`` in seconds: a number >= 0, ``inf`` for none.  A
+    NaN deadline would never pass, so it is refused with the negatives."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError("time limit must be >= 0")
+    return value
+
+
 def _register_count(sub) -> None:
     p = sub.add_parser("count-restrictions",
                        help="number of distinct pattern-restrictions")
@@ -363,7 +372,7 @@ def _register_ex(sub) -> None:
     p = sub.add_parser("ex", help="exact Turan number with certificate")
     p.add_argument("files", nargs="+")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=_time_limit, default=None)
     p.add_argument("--cache-dir", default=None)
     _add_format(p)
     p.set_defaults(func=_cmd_ex)
@@ -394,7 +403,7 @@ def _register_verify(sub) -> None:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=verify_mod.SUITES)
     p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=_time_limit, default=None)
     _add_format(p)
     p.set_defaults(func=_cmd_verify)
 

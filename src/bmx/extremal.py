@@ -22,6 +22,7 @@ from bmx.matroid import (
     to_compact,
 )
 from bmx.morphism import (
+    EX_MAX_DIM,
     CanonicalKey,
     _copy_count,
     _schedule_cached,
@@ -29,7 +30,6 @@ from bmx.morphism import (
     span_key,
 )
 
-EX_MAX_DIM = 8
 NEAREST_MAX_DIM = 10
 NEAREST_MAX_ORDER = 3
 

@@ -312,6 +312,16 @@ def all_embedding_images(host_pts: Sequence[int], host_mask: int,
     return out
 
 
+def count_embedding_images(host_pts: Sequence[int], host_mask: int,
+                           checks: Sequence[Sequence[int]],
+                           bounds: Sequence[Sequence[int]]) -> int:
+    """Number of the images ``all_embedding_images`` returns, counted as
+    they are generated, so that none is kept."""
+    return sum(1 for _image in _embeddings([host_pts] * len(checks),
+                                           host_mask, checks, bounds,
+                                           [0] * len(checks)))
+
+
 def cover_exists(n: int, pmask: int, depth: int) -> list[int] | None:
     """Find <= depth parity functionals covering every point, or None.
 

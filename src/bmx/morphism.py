@@ -115,8 +115,10 @@ def _orbit_bounds(checks: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(slots[c] for c in cs) for cs in checks)
 
 
-# the most copies that ``ex`` indexes or ``count_restrictions`` enumerates,
-# checked against ``_copy_count`` before any copy is built
+# the largest dimension in which ``ex`` searches and ``count_restrictions``
+# counts, and the most copies either enumerates, checked against
+# ``_copy_count`` before any copy is built
+EX_MAX_DIM = 8
 _MAX_COPIES = 5_000_000
 
 
@@ -220,14 +222,18 @@ def count_restrictions(host: Matroid, pattern: Matroid) -> int:
     """Number of distinct subsets of the host that are pattern-restrictions
     (distinct images, not distinct maps).
 
-    Raises CapacityError before enumerating when the pattern has more than
-    ``_MAX_COPIES`` copies in the full geometry of the host's dimension,
-    the same cap as ``ex``.
+    Raises CapacityError before enumerating when the host's dimension is
+    over ``EX_MAX_DIM`` or the pattern has more than ``_MAX_COPIES`` copies
+    in the full geometry of that dimension, the same limits as ``ex``.
+    The copies are counted as they are found; none is kept.
     """
+    if host.dim > EX_MAX_DIM:
+        raise CapacityError(
+            f"restriction counting limited to host dim <= {EX_MAX_DIM}")
     if pattern.rank > host.dim:
         return 0
     sched = _schedule_cached(pattern.mask)
     if _copy_count(sched, host.dim) > _MAX_COPIES:
         raise CapacityError("too many restrictions to count")
-    return len(kernels.all_embedding_images(host.sorted_points(), host.mask,
-                                            sched.checks, sched.bounds))
+    return kernels.count_embedding_images(host.sorted_points(), host.mask,
+                                          sched.checks, sched.bounds)

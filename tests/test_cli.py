@@ -274,6 +274,32 @@ def test_ex_time_limit_nan_exits_2(capsys, tmp_path):
     assert "time limit must be >= 0" in capsys.readouterr().err
 
 
+def test_time_limit_is_checked_where_it_is_parsed(capsys, tmp_path,
+                                                  tri_file):
+    # also on the paths that never reach ex_search: a catalog hit, and a
+    # bose-burton suite with no n to search
+    cache = str(tmp_path / "cat")
+    assert run(["ex", tri_file, "--n", "3", "--cache-dir", cache]) == 0
+    for limit in ("nan", "-1", "abc"):
+        assert run(["ex", tri_file, "--n", "3", "--cache-dir", cache,
+                    "--time-limit", limit]) == 2, limit
+        assert run(["verify", "bose-burton", "--max-n", "1",
+                    "--time-limit", limit]) == 2, limit
+    assert "time limit must be >= 0" in capsys.readouterr().err
+    assert run(["ex", tri_file, "--n", "3", "--cache-dir", cache,
+                "--time-limit", "inf"]) == 0
+
+
+def test_count_in_a_host_above_dimension_8_exits_3(capsys, tmp_path,
+                                                   tri_file):
+    # the limit of ex: a host of dimension 9 is refused before any copy
+    p = tmp_path / "h9.bm1"
+    p.write_text(to_bm1(Matroid(9, frozenset({1, 2, 3}))))
+    with time_budget(2):
+        assert run(["count-restrictions", str(p), tri_file]) == 3
+    assert "limited to host dim <= 8" in capsys.readouterr().err
+
+
 def test_nearest_bb(capsys, tmp_path):
     p = tmp_path / "m.bm1"
     p.write_text(to_bm1(bb(4, 1)))

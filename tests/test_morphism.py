@@ -453,6 +453,10 @@ def test_count_over_the_copy_cap_builds_no_image(monkeypatch):
     with pytest.raises(CapacityError):
         count_restrictions(pg(5), circuit(4))  # 1,085 copies
     assert not started
+    # a host above the dimension limit of ex, whatever it holds
+    with pytest.raises(CapacityError, match="host dim <= 8"):
+        count_restrictions(Matroid(9, frozenset({1, 2, 3})), pg(2))
+    assert not started
     monkeypatch.setattr(morphism, "_MAX_COPIES", 2000)
     assert count_restrictions(pg(5), circuit(4)) == 1_085
     assert started
