@@ -4,9 +4,8 @@ stability machinery built on top of them."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations
 
 from bmx import kernels, morphism
 from bmx.errors import CapacityError, UsageError
@@ -15,7 +14,6 @@ from bmx.matroid import (
     LiftSpec,
     Matroid,
     chi,
-    delete,
     from_compact,
     lift,
     recoordinatize,
@@ -32,6 +30,8 @@ from bmx.morphism import (
 
 NEAREST_MAX_DIM = 10
 NEAREST_MAX_ORDER = 3
+# the largest member rank whose codimension-k slices are enumerated
+SLICE_MAX_RANK = 8
 
 
 @dataclass(frozen=True)
@@ -131,11 +131,12 @@ def _all_copies(family: Family, n: int,
     checked as copies arrive and once more after the sort: TimeoutError
     once ``time.monotonic()`` passes ``deadline``.
     """
-    host_pts = range(1, 1 << n)
-    host_mask = (1 << ((1 << n) - 1)) - 1
+    total = (1 << n) - 1
+    host_pts = range(1, total + 1)
+    host_mask = (1 << total) - 1
     scheds = [_schedule_cached(m.mask)
               for m in family.members if m.rank <= n]
-    if sum(_copy_count(s, n) for s in scheds) > morphism._MAX_COPIES:
+    if sum(_copy_count(s, n, total) for s in scheds) > morphism._MAX_COPIES:
         raise CapacityError("too many forbidden restrictions to index")
     copies: list[int] = []
     for sched in scheds:
@@ -373,14 +374,14 @@ def _seen(masks: list[int], functionals: tuple[int, ...]) -> int:
 
 
 def decomposition_family(family: Family) -> Family:
-    """The decomposition family: restriction-minimal matroids whose removal
-    from some member drops its critical number to k.
+    """The decomposition family: the restriction-minimal slices of the
+    members, deduplicated by ``span_key``, in canonical coordinates.
 
-    Computed through codimension-k slices of the members (each slice's
-    removal leaves a subset of a Bose-Burton geometry of order k), then
-    deduplicated by ``span_key`` and filtered to restriction-minimal
-    representatives in canonical coordinates.  The slice by the common
-    kernel W of k functionals drops the points that some functional sees.
+    A slice of M is M & W for a codimension-k subspace W of span(M): with
+    W the common kernel of k functionals, the points none of them sees.
+    Removing X from M leaves critical number <= k exactly when X contains
+    a slice, and for k < chi(M) no slice is empty.  ``critical_edge_check``
+    and ``corollary_tier`` read their answers off the same slices.
 
     The slices are taken in each member's span (``Family.spans``), so the
     declared dimension plays no part: a codimension-k subspace of the
@@ -391,8 +392,9 @@ def decomposition_family(family: Family) -> Family:
     if k == 0:
         return family
     for s in family.spans:
-        if s.dim > 8:
-            raise CapacityError("decomposition limited to member rank <= 8")
+        if s.dim > SLICE_MAX_RANK:
+            raise CapacityError(
+                f"decomposition limited to member rank <= {SLICE_MAX_RANK}")
     classes: dict[CanonicalKey, Matroid] = {}
     for s in family.spans:
         masks = parity_masks(s.dim)
@@ -451,13 +453,16 @@ def clique_constant(t: int) -> tuple[int, int]:
 
 
 def critical_edge_check(m: Matroid) -> bool:
-    """True iff deleting some single element lowers the critical number;
-    computed on m's span."""
+    """True iff deleting some single element lowers the critical number c
+    of m's span: some codimension-(c - 1) slice is a single point."""
     s = recoordinatize(m)
-    if s.dim > 8:
-        raise CapacityError("critical-edge check limited to rank <= 8")
+    if s.dim > SLICE_MAX_RANK:
+        raise CapacityError(
+            f"critical-edge check limited to rank <= {SLICE_MAX_RANK}")
     c = chi(s)
-    return any(chi(delete(s, {e})) < c for e in s.points)
+    masks = parity_masks(s.dim)
+    return c > 0 and any((s.mask & ~_seen(masks, dual)).bit_count() == 1
+                         for dual in enumerate_subspaces(s.dim, c - 1))
 
 
 @dataclass(frozen=True)
@@ -479,38 +484,28 @@ class TierReport:
     extremal: str | None
 
 
-def _independent_drop_size(family: Family, k: int) -> int | None:
-    max_t = max(s.dim for s in family.spans)
-    for t in range(1, max_t + 1):
-        for m in family.spans:
-            for sub in combinations(m.sorted_points(), t):
-                if rank_ints(sub) == t and chi(delete(m, sub)) <= k:
-                    return t
-    return None
-
-
-def _no_small_dependent_drop(family: Family, k: int, t: int) -> bool:
-    for m in family.spans:
-        for s in range(3, t + 1):  # dependent sets in a simple matroid need >= 3 points
-            for sub in combinations(m.sorted_points(), s):
-                if rank_ints(sub) < s and chi(delete(m, sub)) <= k:
-                    return False
-    return True
-
-
 def corollary_tier(family: Family) -> TierReport:
     """Classify the family per the exactness corollaries, computed on the
-    members' spans."""
+    members' spans.  A removal that drops a member to k contains a slice,
+    so t is the least size of an independent slice; a dependent removal of
+    at most t points contains a slice, which is then dependent, so the
+    tier is exact when every dependent slice has more than t points."""
     for s in family.spans:
-        if s.dim > 8:
-            raise CapacityError("tier classification limited to member rank <= 8")
+        if s.dim > SLICE_MAX_RANK:
+            raise CapacityError(
+                f"tier classification limited to member rank <= {SLICE_MAX_RANK}")
     k = family.k
-    if k == 0:
+    independent, dependent = [], []
+    for s in family.spans:
+        masks = parity_masks(s.dim)
+        for dual in enumerate_subspaces(s.dim, k):
+            inside = Matroid.from_mask(s.dim, s.mask & ~_seen(masks, dual))
+            sizes = independent if inside.rank == inside.size else dependent
+            sizes.append(inside.size)
+    if k == 0 or not independent:
         return TierReport("sparse", k, None, None, None)
-    t = _independent_drop_size(family, k)
-    if t is None:
-        return TierReport("sparse", k, None, None, None)
-    if _no_small_dependent_drop(family, k, t):
+    t = min(independent)
+    if min(dependent, default=t + 1) > t:
         return TierReport(
             "exact-constant", k, t, (1 << (t - 1)) - 1,
             f"PG({t - 2},2)^(n,{k})",

@@ -73,7 +73,8 @@ class Matroid:
 @dataclass(frozen=True)
 class LiftSpec:
     """Parameters for placing a matroid in the empty flat of a Bose-Burton
-    geometry: inner matroid N, target dimension n, flat codimension t."""
+    geometry: inner matroid N, target dimension n, flat codimension t.
+    N's points, not its declared dimension, must fit in the flat."""
 
     inner: Matroid
     n: int
@@ -82,7 +83,7 @@ class LiftSpec:
     def __post_init__(self):
         if not 1 <= self.t <= self.n <= MAX_DIM:
             raise UsageError("need 1 <= t <= n <= 24")
-        if self.inner.dim > self.n - self.t:
+        if any(p >> (self.n - self.t) for p in self.inner.points):
             raise UsageError("inner matroid does not fit inside the flat")
 
 

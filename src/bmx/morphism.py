@@ -122,18 +122,21 @@ EX_MAX_DIM = 8
 _MAX_COPIES = 5_000_000
 
 
-def _copy_count(sched: _Schedule, n: int) -> int:
-    """Copies of a scheduled pattern in the full geometry of dimension n.
+def _copy_count(sched: _Schedule, n: int, size: int) -> int:
+    """A bound on the copies of a scheduled pattern in a dimension-n host
+    of ``size`` points, exact for the full geometry (size 2^n - 1).
 
-    Each injective image of the pattern basis, prod_{i<r} (2^n - 2^i) of
-    them, gives a copy, and a copy comes from exactly |Aut(N)| of them.
-    |Aut(N)| is the product of the basic orbit sizes |O_i|, and O_i is
-    b_i with the points whose bound has bit i (``_orbit_bounds``).
+    A copy is fixed by the images of the pattern basis, and slot i takes a
+    host point outside the span of the earlier images: at most
+    min(2^n - 2^i, size - i) choices, which is 2^n - 2^i in the full
+    geometry.  A copy comes from exactly |Aut(N)| of these maps.  |Aut(N)|
+    is the product of the basic orbit sizes |O_i|, and O_i is b_i with
+    the points whose bound has bit i (``_orbit_bounds``).
     """
     r = len(sched.basis)
     maps = aut = 1
     for i in range(r):
-        maps *= (1 << n) - (1 << i)
+        maps *= min((1 << n) - (1 << i), size - i)
         aut *= 1 + sum(b >> i & 1 for bs in sched.bounds for b in bs)
     return maps // aut
 
@@ -223,8 +226,8 @@ def count_restrictions(host: Matroid, pattern: Matroid) -> int:
     (distinct images, not distinct maps).
 
     Raises CapacityError before enumerating when the host's dimension is
-    over ``EX_MAX_DIM`` or the pattern has more than ``_MAX_COPIES`` copies
-    in the full geometry of that dimension, the same limits as ``ex``.
+    over ``EX_MAX_DIM`` or ``_copy_count`` bounds the pattern's copies in
+    the host above ``_MAX_COPIES``, the same limits as ``ex``.
     The copies are counted as they are found; none is kept.
     """
     if host.dim > EX_MAX_DIM:
@@ -233,7 +236,7 @@ def count_restrictions(host: Matroid, pattern: Matroid) -> int:
     if pattern.rank > host.dim:
         return 0
     sched = _schedule_cached(pattern.mask)
-    if _copy_count(sched, host.dim) > _MAX_COPIES:
+    if _copy_count(sched, host.dim, host.size) > _MAX_COPIES:
         raise CapacityError("too many restrictions to count")
     return kernels.count_embedding_images(host.sorted_points(), host.mask,
                                           sched.checks, sched.bounds)

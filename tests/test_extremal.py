@@ -42,7 +42,15 @@ from bmx.morphism import (
     count_restrictions,
     isomorphic,
 )
-from conftest import random_gl, random_matroid, subspaces, time_budget
+from conftest import (
+    coordinates,
+    naive_chi,
+    random_gl,
+    random_matroid,
+    rank,
+    subspaces,
+    time_budget,
+)
 
 
 def complete_graphic(t: int) -> Matroid:
@@ -224,12 +232,12 @@ def test_copy_count_matches_the_enumeration(member):
         images = kernels.all_embedding_images(
             range(1, 1 << n), (1 << (1 << n) - 1) - 1, sched.checks,
             sched.bounds)
-        assert _copy_count(sched, n) == len(images)
+        assert _copy_count(sched, n, (1 << n) - 1) == len(images)
 
 
 def test_copy_count_of_i5_in_pg5():
     sched = _schedule_cached(free(5).mask)
-    assert _copy_count(sched, 6) == 5_249_664
+    assert _copy_count(sched, 6, 63) == 5_249_664
 
 
 def test_declared_dimension_does_not_matter(rng):
@@ -379,10 +387,16 @@ def test_maintech_lower_bound_soundness():
 
 
 def test_maintech_matches_search_small():
-    # at dimensions where equality is known, the formula equals the search
-    fam = Family.from_matroids([pg(2)])
-    for n in range(2, 6):
-        assert maintech_rhs(fam, n).value == ex_search(fam, n).value
+    # at dimensions where equality is known, the formula equals the
+    # certified search
+    cases = [(pg(2), n, 1 << (n - 1)) for n in range(2, 6)]
+    cases += [(complete_graphic(4), 4, 9), (complete_graphic(4), 5, 17),
+              (pg(3), 4, 12), (pg(3), 5, 24)]
+    for member, n, want in cases:
+        fam = Family.from_matroids([member])
+        cert = ex_search(fam, n)
+        assert cert.certified
+        assert maintech_rhs(fam, n).value == cert.value == want
 
 
 # --- exactness corollaries --------------------------------------------------
@@ -435,6 +449,66 @@ def test_a_member_is_computed_on_its_span(rng):
                    corollary_tier(fam))
             want = want or got
             assert got == want, m
+
+
+def _oracle_tier_and_edges(members):
+    """((regime, k, t), [critical edge of each member]) by the subset
+    searches that the slices replace: every point subset of each member's
+    span, tried with ``naive_chi``."""
+    spans = []
+    for m in members:
+        basis, coeff = coordinates(m.points)
+        spans.append(Matroid(len(basis), frozenset(coeff[p] for p in m.points)))
+    chis = [naive_chi(s) for s in spans]
+    edges = [any(naive_chi(Matroid(s.dim, s.points - {e})) < c
+                 for e in s.points) for s, c in zip(spans, chis)]
+    k = min(chis) - 1
+    if k == 0:
+        return ("sparse", k, None), edges
+
+    def drops(size, independent):
+        return any(
+            (rank(sub) == size) == independent
+            and naive_chi(Matroid(s.dim, s.points - set(sub))) <= k
+            for s in spans for sub in combinations(sorted(s.points), size))
+
+    t = next((size for size in range(1, max(s.dim for s in spans) + 1)
+              if drops(size, True)), None)
+    if t is None:
+        return ("sparse", k, None), edges
+    small = any(drops(size, False) for size in range(3, t + 1))
+    regime = "finite-computation" if small else "exact-constant"
+    return (regime, k, t), edges
+
+
+def test_tier_and_critical_edges_match_the_subset_searches():
+    rng = random.Random(20261019)
+    families = [[complete_graphic(4)], [complete_graphic(5)],
+                [octahedron_matroid()], [pg(3)], [circuit(4)]]
+    while len(families) < 45:
+        members = [random_matroid(rng, rng.randint(2, 4),
+                                  rng.choice([0.3, 0.5, 0.7, 0.9]))
+                   for _ in range(rng.randint(1, 2))]
+        if all(m.points for m in members):
+            families.append(members)
+    regimes = set()
+    for members in families:
+        rep = corollary_tier(Family.from_matroids(members))
+        want_tier, want_edges = _oracle_tier_and_edges(members)
+        assert (rep.regime, rep.k, rep.t) == want_tier, members
+        assert [critical_edge_check(m) for m in members] == want_edges
+        regimes.add(rep.regime)
+    assert regimes == {"exact-constant", "finite-computation", "sparse"}
+
+
+def test_clique_tiers_match_the_closed_form():
+    # one slice enumeration per member keeps even M(K8) well inside 5 s
+    with time_budget(5):
+        for t in range(3, 9):
+            rep = corollary_tier(Family.from_matroids([complete_graphic(t)]))
+            t0, constant = clique_constant(t)
+            assert (rep.regime, rep.k, rep.constant) == \
+                ("exact-constant", t0, constant), t
 
 
 def test_corollary_tier():

@@ -114,6 +114,11 @@ def test_lift():
     assert lift(LiftSpec(Matroid(0, frozenset()), 4, 2)).points == bb(4, 2).points
     with pytest.raises(UsageError):
         LiftSpec(pg(3), 4, 2)
+    # where the points lie decides, not the declared dimension
+    tri5 = Matroid(5, frozenset({1, 2, 3}))
+    assert lift(LiftSpec(tri5, 4, 1)).points == lift(LiftSpec(pg(2), 4, 1)).points
+    with pytest.raises(UsageError):
+        LiftSpec(Matroid(5, frozenset({8})), 4, 1)
 
 
 def test_delete_and_flat_slice():

@@ -462,6 +462,20 @@ def test_count_over_the_copy_cap_builds_no_image(monkeypatch):
     assert started
 
 
+def test_count_caps_by_the_host_points():
+    # I4 has about 168 million copies in PG(7,2), but a host of dimension
+    # 8 holding five independent points has exactly five of them
+    assert count_restrictions(Matroid(8, frozenset({1, 2, 4, 8, 16})),
+                              free(4)) == 5
+    # a sparse dimension-8 host is counted, not refused: its copies of I4
+    # are its independent 4-subsets
+    host = Matroid(8, frozenset(random.Random(8).sample(range(1, 256), 24)))
+    want = sum(1 for sub in combinations(host.sorted_points(), 4)
+               if rank(sub) == 4)
+    with time_budget(10):
+        assert count_restrictions(host, free(4)) == want
+
+
 def test_pg3_copies_in_pg5():
     # [6 choose 4]_2 = 651 solids; the ordered bases number 13 million
     with time_budget(10):
