@@ -83,12 +83,23 @@ def _read_graph(path: str, fmt: str) -> SimpleGraph:
     raise UsageError("empty graph input")
 
 
-def _emit(args, text: str, obj: dict) -> None:
+def _emit(args, text: str | None, obj: dict) -> None:
+    """Print ``obj`` as JSON, or ``text``; a ``text`` of None is one
+    ``field value`` line per field of ``obj`` after ``kind``, with lists
+    space-joined and booleans written true/false."""
     if args.format == "json":
         obj = {"schema": SCHEMA, "version": __version__, **obj}
         print(json.dumps(obj, sort_keys=True))
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        return
+    if text is None:
+        lines = []
+        for field, value in list(obj.items())[1:]:
+            words = value if isinstance(value, list) else [value]
+            lines.append(f"{field} " + " ".join(
+                str(w).lower() if isinstance(w, bool) else str(w)
+                for w in words))
+        text = "\n".join(lines)
+    print(text, end="" if text.endswith("\n") else "\n")
 
 
 def _matroid_obj(m: Matroid) -> dict:
@@ -119,10 +130,8 @@ def _cmd_construct(args) -> int:
 
 def _cmd_stat(args) -> int:
     m = _read_matroid(args.file)
-    c = chi(m)
-    text = f"dim {m.dim}\nsize {m.size}\nrank {m.rank}\nchi {c}\n"
-    _emit(args, text, {"kind": "stat", "dim": m.dim, "size": m.size,
-                       "rank": m.rank, "chi": c})
+    _emit(args, None, {"kind": "stat", "dim": m.dim, "size": m.size,
+                       "rank": m.rank, "chi": chi(m)})
     return EXIT_OK
 
 
@@ -146,8 +155,7 @@ def _cmd_iso(args) -> int:
 def _cmd_canon(args) -> int:
     m = _read_matroid(args.file)
     key = canonical_key(m)
-    _emit(args, f"dim {key.dim}\nkey {key.bits}\n",
-          {"kind": "canon", "dim": key.dim, "key": key.bits})
+    _emit(args, None, {"kind": "canon", "dim": key.dim, "key": key.bits})
     return EXIT_OK
 
 
@@ -172,20 +180,6 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _cert_text(cert) -> str:
-    lines = [
-        "family " + " ".join(to_compact(m) for m in cert.family),
-        f"n {cert.n}",
-        f"value {cert.value}",
-        f"witness {to_compact(cert.witness)}",
-        f"method {cert.method}",
-        f"certified {'true' if cert.certified else 'false'}",
-        f"nodes {cert.nodes}",
-        f"elapsed_ms {cert.elapsed_ms}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_ex(args) -> int:
     fam = _family_from_files(args.files)
     cat = Catalog(args.cache_dir) if args.cache_dir else None
@@ -198,23 +192,16 @@ def _cmd_ex(args) -> int:
         cert = ex_search(fam, args.n, time_limit=args.time_limit)
         if cat is not None and cert.certified:
             cat.put(cert)
-    _emit(args, _cert_text(cert), {"kind": "turan", **cert.to_json_dict()})
+    _emit(args, None, {"kind": "turan", **cert.to_json_dict()})
     return EXIT_OK if cert.certified else EXIT_FALSE
 
 
 def _cmd_nearest_bb(args) -> int:
     m = _read_matroid(args.file)
     rep = nearest_bose_burton(m, args.k)
-    funs = list(rep.functionals)
-    text = (
-        f"distance {rep.distance}\n"
-        f"density {rep.density}\n"
-        f"functionals {' '.join(map(str, funs))}\n"
-        f"bose_burton {to_compact(rep.bose_burton)}\n"
-    )
-    _emit(args, text, {
+    _emit(args, None, {
         "kind": "nearest-bb", "distance": rep.distance,
-        "density": rep.density, "functionals": funs,
+        "density": rep.density, "functionals": list(rep.functionals),
         "bose_burton": to_compact(rep.bose_burton),
     })
     return EXIT_OK
@@ -240,8 +227,7 @@ def _cmd_graph(args) -> int:
         return EXIT_OK
     if args.what == "cubic":
         nu, const = cubic_remark_data(g)
-        _emit(args, f"nu {nu}\nconstant {const}\n",
-              {"kind": "graph-cubic", "nu": nu, "constant": const})
+        _emit(args, None, {"kind": "graph-cubic", "nu": nu, "constant": const})
         return EXIT_OK
     raise UsageError(f"unknown graph command {args.what!r}")
 

@@ -6,10 +6,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import Iterator
 
 from bmx import kernels, morphism
 from bmx.errors import CapacityError, UsageError
-from bmx.gf2core import enumerate_subspaces, parity_masks, rank_ints
+from bmx.gf2core import enumerate_subspaces, parity_masks, points_of, rank_ints
 from bmx.matroid import (
     LiftSpec,
     Matroid,
@@ -373,35 +374,41 @@ def _seen(masks: list[int], functionals: tuple[int, ...]) -> int:
     return out
 
 
-def decomposition_family(family: Family) -> Family:
-    """The decomposition family: the restriction-minimal slices of the
-    members, deduplicated by ``span_key``, in canonical coordinates.
+def _slices(family: Family) -> Iterator[Matroid]:
+    """Every slice M & W of every member's span M, for W a
+    codimension-k subspace of span(M) (k = ``family.k``): with W the
+    common kernel of k functionals, the points none of them sees.
 
-    A slice of M is M & W for a codimension-k subspace W of span(M): with
-    W the common kernel of k functionals, the points none of them sees.
     Removing X from M leaves critical number <= k exactly when X contains
-    a slice, and for k < chi(M) no slice is empty.  ``critical_edge_check``
-    and ``corollary_tier`` read their answers off the same slices.
-
-    The slices are taken in each member's span (``Family.spans``), so the
-    declared dimension plays no part: a codimension-k subspace of the
-    declared space meets the span in codimension at most k, and when
-    less, its slice contains a codimension-k one and is not minimal.
+    a slice, and for k < chi(M) no slice is empty.  The slices are taken
+    in each member's span (``Family.spans``), so the declared dimension
+    plays no part: a codimension-k subspace of the declared space meets
+    the span in codimension at most k, and when less, its slice contains
+    a codimension-k one.  Every member's rank is checked against
+    ``SLICE_MAX_RANK`` before k, and so before any chi search.
     """
+    if any(s.dim > SLICE_MAX_RANK for s in family.spans):
+        raise CapacityError(
+            f"codimension-k slices limited to member rank <= {SLICE_MAX_RANK}")
     k = family.k
-    if k == 0:
-        return family
-    for s in family.spans:
-        if s.dim > SLICE_MAX_RANK:
-            raise CapacityError(
-                f"decomposition limited to member rank <= {SLICE_MAX_RANK}")
-    classes: dict[CanonicalKey, Matroid] = {}
     for s in family.spans:
         masks = parity_masks(s.dim)
         for dual in enumerate_subspaces(s.dim, k):
-            inside = s.mask & ~_seen(masks, dual)
-            key = span_key(Matroid.from_mask(s.dim, inside))
-            classes.setdefault(key, key.matroid())
+            yield Matroid.from_mask(s.dim, s.mask & ~_seen(masks, dual))
+
+
+def decomposition_family(family: Family) -> Family:
+    """The decomposition family: the restriction-minimal slices of the
+    members (``_slices``), deduplicated by ``span_key``, in canonical
+    coordinates.  ``critical_edge_check`` and ``corollary_tier`` read
+    their answers off the same slices.
+    """
+    if family.k == 0:
+        return family
+    classes: dict[CanonicalKey, Matroid] = {}
+    for piece in _slices(family):
+        key = span_key(piece)
+        classes.setdefault(key, key.matroid())
     reps = sorted(classes.values(), key=lambda m: (m.dim, m.size, m.mask))
     minimal = []
     for r in reps:
@@ -454,15 +461,10 @@ def clique_constant(t: int) -> tuple[int, int]:
 
 def critical_edge_check(m: Matroid) -> bool:
     """True iff deleting some single element lowers the critical number c
-    of m's span: some codimension-(c - 1) slice is a single point."""
-    s = recoordinatize(m)
-    if s.dim > SLICE_MAX_RANK:
-        raise CapacityError(
-            f"critical-edge check limited to rank <= {SLICE_MAX_RANK}")
-    c = chi(s)
-    masks = parity_masks(s.dim)
-    return c > 0 and any((s.mask & ~_seen(masks, dual)).bit_count() == 1
-                         for dual in enumerate_subspaces(s.dim, c - 1))
+    of m's span: m is nonempty and some codimension-(c - 1) slice
+    (``_slices``) is a single point."""
+    return m.size > 0 and any(piece.size == 1
+                              for piece in _slices(Family((m,))))
 
 
 @dataclass(frozen=True)
@@ -490,18 +492,11 @@ def corollary_tier(family: Family) -> TierReport:
     so t is the least size of an independent slice; a dependent removal of
     at most t points contains a slice, which is then dependent, so the
     tier is exact when every dependent slice has more than t points."""
-    for s in family.spans:
-        if s.dim > SLICE_MAX_RANK:
-            raise CapacityError(
-                f"tier classification limited to member rank <= {SLICE_MAX_RANK}")
-    k = family.k
     independent, dependent = [], []
-    for s in family.spans:
-        masks = parity_masks(s.dim)
-        for dual in enumerate_subspaces(s.dim, k):
-            inside = Matroid.from_mask(s.dim, s.mask & ~_seen(masks, dual))
-            sizes = independent if inside.rank == inside.size else dependent
-            sizes.append(inside.size)
+    for piece in _slices(family):
+        sizes = independent if piece.rank == piece.size else dependent
+        sizes.append(piece.size)
+    k = family.k
     if k == 0 or not independent:
         return TierReport("sparse", k, None, None, None)
     t = min(independent)
@@ -558,12 +553,7 @@ def nearest_bose_burton(m: Matroid, k: int) -> StabilityReport:
 
 def _spanning_triangle_free(r: int, mask: int) -> bool:
     """Is the point set of ``mask`` free of triangles and of rank r?"""
-    points = []
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        points.append(low.bit_length())
+    points = points_of(mask)
     for i, a in enumerate(points):
         for b in points[i + 1:]:
             if (mask >> ((a ^ b) - 1)) & 1:

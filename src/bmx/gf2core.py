@@ -3,18 +3,37 @@
 Vectors in F_2^n are plain ints: coordinate i is bit i-1, so coordinate 1
 is the least significant bit and a nonzero vector doubles as its point
 index in 1..2^n-1.  A set of points is a bitset over those indices (bit
-p-1 for point p), and ``parity_masks`` gives, for every functional a, the
-set of points it sees.
+p-1 for point p); ``points_of`` and ``bitset_of`` convert between the two
+in time linear in the bitset's length, and ``parity_masks`` gives, for
+every functional a, the set of points it sees.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress, count
 from typing import Iterable, Iterator
 
 from bmx.errors import UsageError
 
 MAX_DIM = 24
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def points_of(mask: int) -> list[int]:
+    """The points of the bitset ``mask``, ascending: its binary digits,
+    lowest first, read as bytes 0/1 that select from 1, 2, 3, ..."""
+    digits = bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
+    return list(compress(count(1), digits))
+
+
+def bitset_of(points: Iterable[int]) -> int:
+    """The bitset of a set of points (each >= 1): its binary digits,
+    highest point first, written once and read as one int."""
+    points = list(points)
+    digits = bytearray(b"0") * (max(points, default=0) + 1)
+    for p in points:
+        digits[-p] = 49  # ord("1")
+    return int(digits, 2)
 
 
 def rank_ints(vectors: Iterable[int]) -> int:
@@ -96,7 +115,7 @@ def parity_masks(n: int) -> list[int]:
     table = _PARITY_MASKS.get(n)
     if table is None:
         points = range(1, 1 << n)
-        columns = [sum(1 << (p - 1) for p in points if p >> i & 1)
+        columns = [bitset_of(p for p in points if p >> i & 1)
                    for i in range(n)]
         table = [0] * (1 << n)
         for a in points:

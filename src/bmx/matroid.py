@@ -20,7 +20,7 @@ from typing import Iterable, TYPE_CHECKING
 
 from bmx import kernels
 from bmx.errors import CapacityError, FormatError, UsageError
-from bmx.gf2core import MAX_DIM, rank_ints, rref_ints
+from bmx.gf2core import MAX_DIM, bitset_of, points_of, rank_ints, rref_ints
 
 if TYPE_CHECKING:
     from bmx.graphs import SimpleGraph
@@ -42,10 +42,7 @@ class Matroid:
 
     @cached_property
     def mask(self) -> int:
-        m = 0
-        for p in self.points:
-            m |= 1 << (p - 1)
-        return m
+        return bitset_of(self.points)
 
     @cached_property
     def rank(self) -> int:
@@ -60,14 +57,7 @@ class Matroid:
 
     @staticmethod
     def from_mask(dim: int, mask: int) -> "Matroid":
-        pts = []
-        p = 1
-        while mask:
-            if mask & 1:
-                pts.append(p)
-            mask >>= 1
-            p += 1
-        return Matroid(dim, frozenset(pts))
+        return Matroid(dim, frozenset(points_of(mask)))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from functools import lru_cache
 
 from bmx import kernels
 from bmx.errors import CapacityError
+from bmx.gf2core import bitset_of, points_of
 from bmx.matroid import Matroid, recoordinatize
 
 CANON_MAX_DIM = 8
@@ -56,8 +57,7 @@ def _schedule(mask: int) -> _Schedule:
     coefficient mask.  A remaining point lies outside that span, so a
     candidate b closes it exactly when ``p ^ b`` is in the table.
     """
-    remaining = [p for p in range(1, mask.bit_length() + 1)
-                 if mask >> p - 1 & 1]
+    remaining = points_of(mask)
     span = {0: 0}
     basis: list[int] = []
     checks: list[tuple[int, ...]] = []
@@ -93,7 +93,7 @@ def _orbit_bounds(checks: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     agree in ``_point_invariants``.
     """
     pts = sorted(c for cs in checks for c in cs)
-    mask = sum(1 << (c - 1) for c in pts)
+    mask = bitset_of(pts)
     r = len(checks)
     unbounded = [(0,) * len(cs) for cs in checks]
     slots = dict.fromkeys(pts, 0)

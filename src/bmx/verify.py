@@ -24,7 +24,7 @@ from bmx.extremal import (
     maintech_rhs,
 )
 from bmx.graphs import SimpleGraph, chromatic_number, parse_graph6_file
-from bmx.matroid import Matroid, bb, chi, circuit, delete, free, graphic, lift, pg
+from bmx.matroid import Matroid, bb, chi, circuit, free, graphic, lift, pg
 from bmx.matroid import LiftSpec
 from bmx.morphism import isomorphic
 

@@ -39,6 +39,14 @@ def tri_file(tmp_path):
 
 
 @pytest.fixture
+def tri20_file(tmp_path):
+    """A triangle on the top two coordinates of F_2^20."""
+    p = tmp_path / "tri20.bm1"
+    p.write_text(to_bm1(Matroid(20, frozenset({1 << 19, 1 << 18, 3 << 18}))))
+    return str(p)
+
+
+@pytest.fixture
 def fano_file(tmp_path):
     p = tmp_path / "fano.bm1"
     p.write_text(to_bm1(pg(3)))
@@ -212,6 +220,30 @@ def test_ex_text_output(capsys, tri_file):
     assert "value 4" in out and "certified true" in out
 
 
+def test_text_output_is_one_line_per_json_field(capsys, tmp_path, tri_file):
+    # after "kind", in JSON field order: lists space-joined, booleans
+    # true/false
+    bb42 = tmp_path / "bb42.bm1"
+    bb42.write_text(to_bm1(bb(4, 2)))
+    k4 = tmp_path / "k4.el"
+    k4.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    want = {
+        ("stat", tri_file): "dim 2\nsize 3\nrank 2\nchi 2\n",
+        ("canon", tri_file): "dim 2\nkey 111\n",
+        ("nearest-bb", str(bb42), "--k", "2"):
+            "distance 0\ndensity 0.75\nfunctionals 4 8\n"
+            "bose_burton bm:4:f87f\n",
+        ("graph", "cubic", str(k4)): "nu 2\nconstant 1\n",
+    }
+    for argv, text in want.items():
+        assert invoke(capsys, *argv) == (0, text), argv
+    code, out = invoke(capsys, "ex", tri_file, "--n", "3")
+    assert code == 0
+    assert out.startswith("family bm:2:07\nn 3\nvalue 4\nwitness bm:3:4b\n"
+                          "method branch-bound\ncertified true\nnodes 2\n"
+                          "elapsed_ms ")
+
+
 def test_ex_k4_n3_is_the_matroid_answer(capsys, tmp_path):
     # M(K4) is declared in dimension 4 but has rank 3, so it fits in n = 3
     p = tmp_path / "k4.bm1"
@@ -226,6 +258,34 @@ def test_ex_triangle_n6_certified_within_budget(capsys, tri_file):
     code, out = invoke(capsys, "ex", tri_file, "--n", "6", "--time-limit", "2")
     assert code == 0
     assert "value 32" in out and "certified true" in out
+
+
+def test_ex_of_a_pattern_declared_in_dimension_20(capsys, tri20_file):
+    # the schedule is built from the three points, not from the 2^20 - 1
+    # indices of the declared space, so the time limit is not spent on it
+    morphism._schedule_cached.cache_clear()
+    with time_budget(5):
+        code, out = invoke(capsys, "ex", tri20_file, "--n", "3",
+                           "--time-limit", "1")
+    assert code == 0
+    assert "value 4" in out and "certified true" in out
+
+
+def test_cache_verify_quarantines_a_dimension_20_witness(capsys, tmp_path,
+                                                          tri_file):
+    cache = tmp_path / "cache"
+    assert invoke(capsys, "ex", tri_file, "--n", "3",
+                  "--cache-dir", str(cache))[0] == 0
+    [path] = cache.glob("??/??/*.json")
+    entry = json.loads(path.read_text())
+    entry["payload"]["witness"] = to_compact(
+        Matroid(20, frozenset({(1 << 20) - 1})))
+    path.write_text(json.dumps(entry))
+    with time_budget(1):
+        code, out = invoke(capsys, "cache", "verify", "--cache-dir",
+                           str(cache))
+    assert code == 1
+    assert f"quarantined {path.stem}: witness dimension 20 != n 3" in out
 
 
 def test_ex_budget_exit(capsys, fano_file):

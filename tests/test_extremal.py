@@ -511,6 +511,23 @@ def test_clique_tiers_match_the_closed_form():
                 ("exact-constant", t0, constant), t
 
 
+def test_slices_are_limited_to_member_rank_8(monkeypatch):
+    # a triangle and seven more independent points: rank 9, chi 2
+    m = Matroid(9, frozenset({1, 2, 3} | {1 << i for i in range(2, 9)}))
+    def refused():
+        return pytest.raises(CapacityError, match=(
+            "codimension-k slices limited to member rank <= 8"))
+
+    with refused():
+        decomposition_family(Family((m,)))
+    # the tier and the critical-element check refuse before any chi search
+    monkeypatch.setattr(extremal, "chi", None)
+    with refused():
+        corollary_tier(Family((m,)))
+    with refused():
+        critical_edge_check(m)
+
+
 def test_corollary_tier():
     rep = corollary_tier(Family.from_matroids([complete_graphic(6)]))
     assert rep.regime == "exact-constant"

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bmx.gf2core import enumerate_subspaces, parity_masks, rank_ints, rref_ints
+from bmx.gf2core import (
+    bitset_of,
+    enumerate_subspaces,
+    parity_masks,
+    points_of,
+    rank_ints,
+    rref_ints,
+)
 from conftest import gaussian_binomial, rank, span, subspaces
 
 vectors4 = st.integers(min_value=0, max_value=15)
@@ -87,3 +94,31 @@ def test_parity_masks_complement_hyperplanes():
 @given(st.integers(0, 8), st.integers(0, 8))
 def test_gaussian_binomial_symmetry(n, k):
     assert gaussian_binomial(n, k) == gaussian_binomial(n, n - k)
+
+
+def naive_points(mask: int) -> list[int]:
+    """The points of a bitset, one bit test per index."""
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def naive_bitset(points) -> int:
+    """The bitset of a set of points, one shift per point."""
+    mask = 0
+    for p in points:
+        mask |= 1 << (p - 1)
+    return mask
+
+
+@given(st.sets(st.integers(min_value=1, max_value=300)))
+def test_points_and_bitsets_round_trip(points):
+    mask = naive_bitset(points)
+    assert bitset_of(points) == bitset_of(sorted(points)) == mask
+    assert points_of(mask) == naive_points(mask) == sorted(points)
+
+
+def test_points_and_bitsets_at_the_ends():
+    assert points_of(0) == [] and bitset_of([]) == 0
+    top = (1 << 20) - 1  # the last point of F_2^20
+    assert points_of(1 << (top - 1)) == [top]
+    assert bitset_of(iter([top, 1])) == (1 << (top - 1)) | 1
+

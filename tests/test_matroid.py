@@ -30,7 +30,7 @@ from bmx.matroid import (
     to_bm1,
     to_compact,
 )
-from conftest import component_count, naive_chi, random_matroid
+from conftest import component_count, naive_chi, random_matroid, time_budget
 
 
 # --- constructions ----------------------------------------------------------
@@ -252,6 +252,14 @@ def test_compact_form():
         from_compact("bm:2:ff")  # bits outside the space
     with pytest.raises(FormatError):
         from_compact("bm:2:zz")
+
+
+def test_compact_form_costs_linear_time_in_its_bitset():
+    # the last point of F_2^20 is bit 2^20 - 2 of a 128 KiB bitset
+    last = Matroid(20, frozenset({(1 << 20) - 1}))
+    text = to_compact(last)
+    with time_budget(1):
+        assert from_compact(text) == last
 
 
 def test_matroid_validation():

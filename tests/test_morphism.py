@@ -480,3 +480,18 @@ def test_pg3_copies_in_pg5():
     # [6 choose 4]_2 = 651 solids; the ordered bases number 13 million
     with time_budget(10):
         assert count_restrictions(pg(6), pg(4)) == 651
+
+
+def test_a_pattern_declared_in_dimension_20_is_scheduled_from_its_points():
+    # a triangle on the top two coordinates of F_2^20: its bitset has
+    # 786,432 bits, its schedule three points
+    def tri20():
+        return Matroid(20, frozenset({1 << 19, 1 << 18, 3 << 18}))
+
+    _schedule_cached.cache_clear()
+    with time_budget(1):
+        assert contains(pg(4), tri20())
+    _schedule_cached.cache_clear()
+    with time_budget(1):
+        assert count_restrictions(pg(4), tri20()) == 35  # lines of PG(3,2)
+
