@@ -124,7 +124,9 @@ def _cmd_construct(args) -> int:
         m = lift(LiftSpec(_read_matroid(args.file), args.n, args.t))
     else:  # pragma: no cover - argparse gates this
         raise UsageError(f"unknown construction {kind!r}")
-    _emit(args, to_bm1(m), {"kind": "matroid", **_matroid_obj(m)})
+    # the BM1 text of a large PG costs seconds, and JSON does not print it
+    text = to_bm1(m) if args.format == "text" else None
+    _emit(args, text, {"kind": "matroid", **_matroid_obj(m)})
     return EXIT_OK
 
 

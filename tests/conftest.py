@@ -176,6 +176,14 @@ def naive_count_restrictions(host: Matroid, pattern: Matroid) -> int:
     return len(set(_naive_images(host, pattern)))
 
 
+def naive_copies(n: int, patterns) -> list[int]:
+    """Every restriction of PG(n-1,2) isomorphic to one of the patterns,
+    as a bitset with bit p - 1 for point p, sorted."""
+    host = Matroid(n, frozenset(range(1, 1 << n)))
+    images = {image for p in patterns for image in _naive_images(host, p)}
+    return sorted(sum(1 << (x - 1) for x in image) for image in images)
+
+
 def gl_maps(n: int) -> list[tuple[int, ...]]:
     """All invertible maps of F_2^n as lookup tables over 0..2^n-1."""
     maps = []

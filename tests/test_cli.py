@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from bmx import __version__, morphism
+from bmx import __version__, cli, morphism
 from bmx.cli import COMMANDS, run
 from bmx.graphs import SimpleGraph
 from bmx.matroid import (
@@ -101,6 +101,21 @@ def test_construct_all_kinds(capsys, tmp_path, tri_file):
     code, out = invoke(capsys, "construct", "graphic", str(g))
     assert code == 0
     assert from_bm1(out).size == 3
+
+
+def test_construct_json_builds_no_bm1_text(monkeypatch, capsys):
+    # the BM1 text of PG(19,2) alone took seconds; JSON never prints it
+    code, out = invoke(capsys, "construct", "pg", "--t", "3",
+                       "--format", "json")
+    assert code == 0
+
+    def refused(m):
+        raise AssertionError("to_bm1 called for a JSON answer")
+
+    monkeypatch.setattr(cli, "to_bm1", refused)
+    assert invoke(capsys, "construct", "pg", "--t", "3",
+                  "--format", "json") == (0, out)
+    assert json.loads(out)["compact"] == to_compact(pg(3))
 
 
 def test_contains_and_iso_exit_codes(capsys, tri_file, fano_file):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import time
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -34,6 +36,7 @@ from bmx.matroid import (
     graphic,
     pg,
     recoordinatize,
+    to_compact,
 )
 from bmx.morphism import (
     _copy_count,
@@ -45,6 +48,7 @@ from bmx.morphism import (
 from conftest import (
     coordinates,
     naive_chi,
+    naive_copies,
     random_gl,
     random_matroid,
     rank,
@@ -292,6 +296,162 @@ def test_ex_deadline_holds_over_the_sort():
     with time_budget(3):
         cert = ex_search(Family.from_matroids([free(4)]), 6, time_limit=1)
     assert not cert.certified
+
+
+# the five cells of the ``search`` benchmark: (members, n, value, witness,
+# nodes at most); the witnesses and the first four counts are those of the
+# search that charged each packed copy 1, before flats were charged
+SEARCH_CELLS = {
+    "tri": ([pg(2)], 5, 16, "bm:5:cbb4344b", 2),
+    "Fano": ([pg(3)], 5, 24, "bm:5:77777777", 448),
+    "C4": ([circuit(4)], 5, 7, "bm:5:8f880000", 7694),
+    "M(K4)": ([complete_graphic(4)], 5, 17, "bm:5:9fe1611e", 1000),
+    "tri-6": ([pg(2)], 6, 32, "bm:6:cbb434cb344bcb34", 2),
+}
+
+
+@pytest.mark.parametrize("cell", SEARCH_CELLS)
+def test_search_cells_keep_their_witnesses(cell):
+    # a stronger valid bound prunes only subtrees without a better set, so
+    # value and witness stay put and no node count rises; M(K4) took
+    # 18,160 nodes before its planes were charged 2 each
+    members, n, value, witness, most = SEARCH_CELLS[cell]
+    cert = ex_search(Family.from_matroids(members), n)
+    assert cert.certified and cert.method == "branch-bound"
+    assert (cert.value, to_compact(cert.witness)) == (value, witness)
+    assert cert.nodes <= most
+
+
+@pytest.mark.parametrize("members, value", [
+    ([free(3)], 3), ([circuit(4), free(4)], 4)], ids=["I3", "C4+I4"])
+def test_ex_with_flats_certifies(members, value):
+    # both pass the charge-2 test at rank 3, so planes are charged
+    fam = Family.from_matroids(members)
+    assert extremal._flats(fam, 5, None)
+    cert = ex_search(fam, 5)
+    assert cert.certified and cert.value == cert.witness.size == value
+    assert all(not contains(cert.witness, m) for m in fam.members)
+
+
+def test_ex_flats_need_two_missing_points():
+    # PG(r-1,2) minus a point holds no triangle, Fano or PG(3,2), so no
+    # cap is solved for them and no flat is charged
+    for member, n in [(pg(2), 6), (pg(3), 5), (pg(4), 6)]:
+        assert extremal._flats(Family.from_matroids([member]), n, None) == []
+
+
+def test_ex_deadline_covers_the_flats():
+    cert = ex_search(Family.from_matroids([complete_graphic(4)]), 5,
+                     time_limit=0)
+    assert not cert.certified and cert.value <= 17
+
+
+def test_ex_flat_caps_get_what_is_left_of_the_deadline(monkeypatch):
+    real = extremal.ex_search
+    limits = []
+
+    def slow(family, n, time_limit=None):
+        limits.append(time_limit)
+        time.sleep(0.6)
+        return real(family, n, time_limit=time_limit)
+
+    monkeypatch.setattr(extremal, "ex_search", slow)
+    cert = real(Family.from_matroids([complete_graphic(4)]), 5,
+                time_limit=0.5)
+    assert len(limits) == 1 and 0 <= limits[0] <= 0.5
+    assert not cert.certified and cert.value <= 17
+    assert all(not contains(cert.witness, m) for m in cert.family)
+
+
+def test_ex_skips_an_uncertified_flat_cap(monkeypatch):
+    # a cap that the sub-solve did not certify is never a bound
+    real = extremal.ex_search
+    flats = {}  # n -> the flats set up for the search at n
+    real_flats = extremal._flats
+
+    def uncertified(family, n, time_limit=None):
+        return replace(real(family, n, time_limit), certified=False)
+
+    def watched(family, n, deadline):
+        flats[n] = real_flats(family, n, deadline)
+        return flats[n]
+
+    monkeypatch.setattr(extremal, "ex_search", uncertified)
+    monkeypatch.setattr(extremal, "_flats", watched)
+    cert = real(Family.from_matroids([complete_graphic(4)]), 5)
+    assert flats[5] == []
+    assert cert.certified and cert.value == 17 and cert.nodes == 18160
+
+
+def _mask(points) -> int:
+    return sum(1 << (p - 1) for p in points if p)
+
+
+def _fewest_exclusions(copies: list[int], allowed: int, und: int) -> int:
+    """Least number of undecided points whose removal leaves no copy
+    inside ``allowed``, by trying every set of them by size."""
+    live = [c for c in copies if not c & ~allowed]
+    points = [1 << i for i in range(und.bit_length()) if und >> i & 1]
+    for k in range(len(points) + 1):
+        for xs in combinations(points, k):
+            rest = allowed & ~sum(xs)
+            if not any(not c & ~rest for c in live):
+                return k
+    raise AssertionError("a copy lies inside kept")
+
+
+@pytest.mark.parametrize("members", [
+    [complete_graphic(4)], [circuit(4)], [free(3)], [circuit(4), pg(2)]],
+    ids=["M(K4)", "C4", "I3", "C4+tri"])
+def test_packing_charges_no_more_than_a_free_set_loses(members):
+    # node states built around planes through one line, so that some
+    # flats are hot; copies, planes, caps and the minimum all come from
+    # the brute-force routines of conftest
+    rng = random.Random(15)
+    fam = Family.from_matroids(members)
+    charged = 0
+    for n in (4, 5):
+        total = (1 << n) - 1
+        copies = naive_copies(n, fam.members)
+        inc = [sum(1 << i for i, c in enumerate(copies) if c >> p & 1)
+               for p in range(total)]
+        planes = [_mask(w) for w in subspaces(n, 3)]
+        lines = [_mask(w) for w in subspaces(n, 2)]
+        flats = extremal._flats(fam, n, None)
+        if n == 4:
+            assert flats == []  # rank 3 > n - 2
+        else:
+            fano = naive_copies(3, fam.members)
+            cap = max(s.bit_count() for s in range(1 << 7)
+                      if not any(not c & ~s for c in fano))
+            assert sorted(flats) == sorted((w, cap) for w in planes)
+        for _ in range(40):
+            line = rng.choice(lines)
+            through = [w for w in planes if w & line == line]
+            allowed = line
+            for w in rng.sample(through, rng.randint(1, 2)):
+                allowed |= w
+            for p in rng.sample(range(total), 2):
+                allowed |= 1 << p
+            if rng.random() < 0.5:
+                kept = line
+            else:
+                pts = [1 << i for i in range(total) if allowed >> i & 1]
+                kept = sum(rng.sample(pts, rng.randint(0, 3)))
+            if any(not c & ~kept for c in copies):
+                continue  # no free set holds kept
+            und = allowed & ~kept
+            alive = sum(1 << i for i, c in enumerate(copies)
+                        if not c & ~allowed)
+            pairs = sum(1 << i for i, c in enumerate(copies)
+                        if alive >> i & 1 and (c & und).bit_count() == 2)
+            hot = [f for f in flats
+                   if (allowed & f[0]).bit_count() - f[1] >= 2]
+            charged += bool(hot)
+            packed = extremal._packing(inc, copies, und, alive, pairs,
+                                       allowed, hot, total)
+            assert packed <= _fewest_exclusions(copies, allowed, und)
+    assert charged
 
 
 def test_certificate_json_roundtrip():
