@@ -154,17 +154,35 @@ def _all_copies(family: Family, n: int,
     return copies
 
 
+# copies transposed at a time by ``_incidence``: a multiple of 8, so that
+# each chunk but the last fills whole bytes of a row
+_INCIDENCE_CHUNK = 1 << 12
+# _BIT_DIGITS[b] maps a byte to the digit "1" when its bit b is set, else "0"
+_BIT_DIGITS = [bytes(b"01"[x >> b & 1] for x in range(256)) for b in range(8)]
+
+
 def _incidence(copies: list[int], total: int) -> list[int]:
-    """``inc[i]``: the bitset of ids of the copies through point i + 1."""
-    nbytes = (len(copies) + 7) // 8
-    rows = [bytearray(nbytes) for _ in range(total)]
-    for cid, c in enumerate(copies):
-        byte, bit = cid >> 3, 1 << (cid & 7)
-        while c:
-            low = c & -c
-            rows[low.bit_length() - 1][byte] |= bit
-            c ^= low
-    return [int.from_bytes(row, "little") for row in rows]
+    """``inc[i]``: the bitset of ids of the copies through point i + 1.
+
+    A byte transpose, in the idiom of ``gf2core.points_of``.  The copies
+    are packed little-endian, ``width`` bytes each, so the strided slice
+    from byte i // 8 holds that byte of every copy, in id order; it is
+    translated to the digits of bit i % 8, reversed, and read as one int.
+    The copies go in chunks, so the packed bytes and digits stay small,
+    and each row keeps its chunks as bytes until they are joined.
+    """
+    width = (total + 7) // 8
+    parts: list[list[bytes]] = [[] for _ in range(total)]
+    for start in range(0, len(copies), _INCIDENCE_CHUNK):
+        chunk = copies[start:start + _INCIDENCE_CHUNK]
+        packed = b"".join([c.to_bytes(width, "little") for c in chunk])
+        nbytes = (len(chunk) + 7) // 8
+        for i in range(total):
+            if i & 7 == 0:
+                column = packed[i >> 3::width]
+            digits = column.translate(_BIT_DIGITS[i & 7])[::-1]
+            parts[i].append(int(digits, 2).to_bytes(nbytes, "little"))
+    return [int.from_bytes(b"".join(row), "little") for row in parts]
 
 
 def _greedy_free(inc: list[int]) -> int:

@@ -3,14 +3,17 @@
 These are the hot inner loops: canonical-form backtracking, which skips
 branches that an automorphism of the matroid maps onto explored ones
 (automorphisms of a span it can see at once, and those it finds as pairs
-of equal leaves), one embedding enumerator behind both containment and
-copy counting, and the parity-functional covering search behind the
-critical number, which works on the point bitset through
+of equal leaves), one embedding enumerator behind containment, copy
+indexing and copy counting, and the parity-functional covering search
+behind the critical number, which works on the point bitset through
 ``gf2core.parity_masks``.  The enumerator visits each copy of a pattern
 once: it keeps only the least basis-image tuple of each orbit of the
 pattern's automorphism group, checking it against the basic orbits of a
-stabiliser chain as the closure checks fix each point (see
-``_embeddings``).  They are plain Python; there is no compiled variant.
+stabiliser chain as the closure checks fix each point.  Each basis slot
+finds all of its passing images at once, as one bitset over the vectors
+of the host's space, and the last slot's bitset is handed back whole, to
+be counted, expanded or read for its lowest image (see ``_embeddings``).
+They are plain Python; there is no compiled variant.
 
 All inputs are primitive: vectors are ints, point sets are characteristic
 bitsets (bit p-1 set iff point p is present).
@@ -19,13 +22,63 @@ bitsets (bit p-1 set iff point p is present).
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 
 from bmx.gf2core import parity_masks
 
 # the benchmark harness (perfbench/worker.py) prints it with every result
 ACTIVE_BACKEND = "python"
+
+# the largest dimension in which ``ex`` searches and ``count_restrictions``
+# counts; ``_embeddings`` reads every host inside it off whole bitsets
+EX_MAX_DIM = 8
+
+_LOWS: dict[int, list[int]] = {}
+
+
+def _lows(n: int) -> list[int]:
+    """``_lows(n)[i]``: the bitset of the vectors of F_2^n (bit x for
+    vector x) whose bit i is clear, built by doubling a block of 2^(i+1)
+    bits, in time linear in its 2^n bits.  Cached for n <= EX_MAX_DIM."""
+    lows = _LOWS.get(n)
+    if lows is None:
+        size = 1 << n
+        lows = []
+        for i in range(n):
+            half = 1 << i
+            low, width = (1 << half) - 1, 2 * half
+            while width < size:
+                low |= low << width
+                width *= 2
+            lows.append(low)
+        if n <= EX_MAX_DIM:
+            _LOWS[n] = lows
+    return lows
+
+
+def _whole_slots(dim: int, size: int) -> bool:
+    """Does ``_embeddings`` read each slot off whole bitsets over F_2^dim,
+    for a host of ``size`` points whose highest point needs dim bits?
+
+    Inside EX_MAX_DIM a bitset is a few machine words.  Above it every
+    bitset, and every single-bit test of one, costs 2^dim bits: a closure
+    check then takes about 5 bitset operations per bit of its offset, and
+    a scan one test per host point.  On random hosts of dimension 12 to
+    20 the scan was faster below about 5 points per dimension.
+    """
+    return dim <= EX_MAX_DIM or size >= 5 * dim
+
+
+def _translate(bits: int, t: int, lows: list[int]) -> int:
+    """{x ^ t : x in bits}: XOR with 2^i swaps the halves of every block
+    of 2^(i+1) bits, and lows[i] marks the lower halves."""
+    while t:
+        half = t & -t
+        t ^= half
+        low = lows[half.bit_length() - 1]
+        bits = (bits & low) << half | (bits >> half) & low
+    return bits
 
 
 def canon_mask(n: int, pmask: int) -> int:
@@ -64,25 +117,14 @@ def canon_mask(n: int, pmask: int) -> int:
         return pmask
     # inside, bit x of a bitset stands for vector x, and bit 0 for zero
     size = 1 << n
-    lows = [((1 << size) - 1) // ((1 << 2 * s) - 1) * ((1 << s) - 1)
-            for s in (1 << i for i in range(n))]
-
-    def shift(bits: int, v: int) -> int:
-        # {x ^ v : x in bits}; XOR with 2^i swaps the halves of every
-        # block of 2^(i+1) bits, and lows[i] marks the lower halves
-        for i, low in enumerate(lows):
-            if v >> i & 1:
-                s = 1 << i
-                bits = (bits & low) << s | (bits >> s) & low
-        return bits
-
+    lows = _lows(n)
     pm = pmask << 1
-    tr = [shift(pm, a) for a in range(size)]
+    tr = [_translate(pm, a, lows) for a in range(size)]
     small = pm if 2 * pmask.bit_count() <= total else (full << 1) ^ pm
     t0 = 1  # span(M')
     for p in range(1, size):
         if small >> p & 1:
-            t0 |= shift(t0, p)
+            t0 |= _translate(t0, p, lows)
     img = [0] * size
     best = [-1] * (n + 1)
     gens: list[list[int]] = []  # automorphisms of M, as lookup tables
@@ -131,8 +173,8 @@ def canon_mask(n: int, pmask: int) -> int:
                 outside = True
             img[m:2 * m] = [v ^ w for w in img[:m]]
             if k < n:
-                back = level(k + 1, span | shift(span, v),
-                             t if t >> v & 1 else t | shift(t, v))
+                back = level(k + 1, span | _translate(span, v, lows),
+                             t if t >> v & 1 else t | _translate(t, v, lows))
                 if back and back < k:
                     return back
             elif ref is None:
@@ -178,20 +220,42 @@ def _close(members: list[int], bits: int, start: int,
     return bits
 
 
-def _embeddings(cands: Sequence[Sequence[int]], host_mask: int,
+def _embeddings(host_pts: Sequence[int], host_mask: int,
                 checks: Sequence[Sequence[int]],
-                bounds: Sequence[Sequence[int]],
-                imgs: list[int]) -> Iterator[int]:
-    """Yield the image point set (a bitset) of every injective embedding
-    whose basis-image tuple is the least in its orbit under Aut(N).
+                bounds: Sequence[Sequence[int]], imgs: list[int],
+                pinned: Sequence[int] = (),
+                ) -> Iterator[tuple[int, int, list[int]]]:
+    """An iterator over ``(image, last, offsets)``, one for each prefix of
+    basis images that some image of the last slot completes to an
+    injective embedding whose basis-image tuple is the least in its orbit
+    under Aut(N).
 
-    Slot j takes images v, in ascending order, from ``cands[j]``;
-    ``checks[j]`` lists the coefficient masks (over basis slots 0..j, bit
-    j always set) of the pattern points that slot j closes, and each such
-    point must land on a host point.  Every pattern point is closed by
-    exactly one slot, so a copy's image is built level by level from the
-    closure checks, and the images stay linearly independent.  At each
-    yield ``imgs`` holds the basis images.
+    Slot j takes images v from the host points ``host_pts``, or only
+    ``pinned[j]`` when j < len(pinned); ``checks[j]`` lists the
+    coefficient masks (over basis slots 0..j, bit j always set) of the
+    pattern points that slot j closes, and each such point must land on a
+    host point.  Every pattern point is closed by exactly one slot, so a
+    copy's image is built level by level from the closure checks, and the
+    images stay linearly independent.
+
+    Each slot finds all of its passing images at once, as a bitset over
+    vectors (bit v for vector v): its candidates, minus the span of the
+    earlier images, minus everything at or below its lex-leader floor;
+    then each closure check ANDs in the host points it may land on,
+    XOR-translated by the check's offset t (the sum of the earlier images
+    in its mask), since v ^ t is the point it closes.  Only the survivors
+    are recursed into, in ascending order.  The last slot is never
+    recursed into: its bitset ``last`` comes with ``image``, the
+    bitset of the prefix's points in the same vector coordinates, and the
+    last slot's ``offsets``, so a survivor v adds the points v and v ^ t
+    for t in offsets.  As each tuple arrives ``imgs`` holds the basis
+    images of every slot but the last.  An empty pattern gives one tuple,
+    with a last slot holding only the zero vector.
+
+    On a sparse host of high dimension (``_whole_slots``), a bitset over
+    every vector costs more than the few points the host offers, so each
+    slot scans its candidates one by one, and only the last slot gathers
+    its survivors into a bitset.
 
     Lex-leader rule.  Let b_j = 1 << j be the basis in slot coordinates
     and O_j the orbit of b_j under the automorphisms of N that fix
@@ -211,85 +275,125 @@ def _embeddings(cands: Sequence[Sequence[int]], host_mask: int,
       s(b_i) lies in O_i - {b_i}, and phi s is larger at position i.
 
     Two embeddings with the same image differ by an automorphism of N,
-    so every copy of N is yielded exactly once.  A point of O_i lies
+    so every copy of N is met exactly once.  A point of O_i lies
     outside span(b_0..b_{i-1}), so it is closed at slot i or later, when
-    imgs[i] is known.
+    imgs[i] is known.  For the bitsets: a closed point x = v ^ t must
+    exceed the floor lb of its bound's earlier slots, so the host is cut
+    to the points above lb before the translation; when the bound also
+    names slot j itself, x > v, which holds iff v lacks the top bit of t.
     """
     r = len(checks)
     if r == 0:
-        yield 0
-        return
-    # inside, bit x of a bitset stands for vector x, and bit 0 for zero
+        return iter([(0, 1, ())])
     hm = host_mask << 1
+    dim = host_mask.bit_length().bit_length()
+    lows = _lows(dim) if _whole_slots(dim, len(host_pts)) else None
     own = [0] * r  # own[j]: the slots bounding the basis point b_j
-    lows: list[list[tuple[int, int]]] = [[] for _ in range(r)]
+    # closes[j]: (coefficients of the earlier slots, the earlier slots of
+    # its bound, whether its bound names slot j) for each point slot j
+    # closes besides b_j
+    closes: list[list[tuple[int, int, int]]] = [[] for _ in range(r)]
     for j, (cs, bs) in enumerate(zip(checks, bounds)):
         for c, b in zip(cs, bs):
             if c == 1 << j:
                 own[j] = b
             else:
-                lows[j].append((c ^ (1 << j), b))
+                closes[j].append((c ^ 1 << j, b & (1 << j) - 1, b >> j & 1))
     span = [0]  # span[c]: the sum of imgs[i] over the bits i of c
 
     def floor(slots: int) -> int:
         # the largest imgs[i] over the bits i of slots, or 0
         lo = 0
         while slots:
-            low = slots & -slots
-            slots ^= low
-            lo = max(lo, imgs[low.bit_length() - 1])
+            i = slots.bit_length() - 1
+            slots ^= 1 << i
+            if imgs[i] > lo:
+                lo = imgs[i]
         return lo
 
-    def level(j: int, image: int, blocked: int) -> Iterator[int]:
-        # a closed point x = v ^ t must exceed lb, and also v where top
-        # is the top bit of t: x > v iff v lacks that bit
-        earlier = (1 << j) - 1
-        ts = [(span[low], floor(b & earlier),
-               1 << span[low].bit_length() - 1 if b >> j & 1 else 0)
-              for low, b in lows[j]]
-        last = j + 1 == r
-        pts = cands[j]
-        for v in pts[bisect_right(pts, floor(own[j])):]:
+    def survivors(j: int, blocked: int) -> tuple[int | list[int], list[int]]:
+        # slot j's passing images, as a bitset for the last slot and as an
+        # ascending list before it, and its checks' offsets
+        offsets = [span[c] for c, _b, _strict in closes[j]]
+        lo = floor(own[j]) + 1
+        if lows is not None:
+            bits = 1 << pinned[j] if j < len(pinned) else hm
+            bits = bits >> lo << lo
+            bits ^= bits & blocked
+            for t, (_c, b, strict) in zip(offsets, closes[j]):
+                if not bits:
+                    break
+                lb = floor(b) + 1
+                h = hm >> lb << lb
+                if strict:
+                    # v lacks the top bit of t, and v ^ t is in h
+                    top = 1 << t.bit_length() - 1
+                    h = h >> top & lows[top.bit_length() - 1]
+                    t ^= top
+                bits &= _translate(h, t, lows)
+            return (bits if j + 1 == r else _members(bits)), offsets
+        ts = [(t, floor(b), 1 << t.bit_length() - 1 if strict else 0)
+              for t, (_c, b, strict) in zip(offsets, closes[j])]
+        pts = (pinned[j],) if j < len(pinned) else host_pts
+        found = []
+        for v in pts[bisect_left(pts, lo):]:
             if blocked >> v & 1:
                 continue
-            img = image | 1 << v
             for t, lb, top in ts:
                 x = v ^ t
                 if not hm >> x & 1 or x <= lb or v & top:
                     break
-                img |= 1 << x
             else:
-                imgs[j] = v
-                if last:
-                    yield img >> 1
-                    continue
-                size = len(span)
-                span.extend([v ^ s for s in span])
-                inner = blocked
-                for w in span[size:]:
-                    inner |= 1 << w
-                yield from level(j + 1, img, inner)
-                del span[size:]
+                found.append(v)
+        if j + 1 < r:
+            return found, offsets
+        bits = 0
+        for v in found:
+            bits |= 1 << v
+        return bits, offsets
 
-    yield from level(0, 0, 1)
+    def level(j: int, image: int, blocked: int, found: list[int],
+              offsets: list[int]):
+        # recurse into the passing images ``found`` of slot j < r - 1
+        penultimate = j + 2 == r
+        for v in found:
+            img = image | 1 << v
+            for t in offsets:
+                img |= 1 << (v ^ t)
+            imgs[j] = v
+            size = len(span)
+            span.extend([v ^ s for s in span])
+            inner = blocked
+            for w in span[size:]:
+                inner |= 1 << w
+            last, last_offsets = survivors(j + 1, inner)
+            if last and penultimate:
+                yield img, last, last_offsets
+            elif last:
+                yield from level(j + 1, img, inner, last, last_offsets)
+            del span[size:]
+
+    first, offsets = survivors(0, 1)
+    if r == 1:
+        return iter([(0, first, offsets)] if first else [])
+    return level(0, 0, 1, first, offsets)
 
 
 def find_embedding(host_pts: Sequence[int], host_mask: int,
                    checks: Sequence[Sequence[int]],
                    bounds: Sequence[Sequence[int]]) -> list[int] | None:
     """Images of the pattern basis under the first injective embedding
-    into the host point set, or None.  The first is the least basis-image
-    tuple of all, which is the least of its orbit, so the lex-leader rule
-    of ``_embeddings`` never skips it."""
+    into the host point set, or None: the first prefix with the lowest
+    image of its last slot.  That is the least basis-image tuple of all,
+    which is the least of its orbit, so the lex-leader rule of
+    ``_embeddings`` never skips it."""
     imgs = [0] * len(checks)
-    for _image in _embeddings([host_pts] * len(checks), host_mask, checks,
-                              bounds, imgs):
+    for _image, last, _offsets in _embeddings(host_pts, host_mask, checks,
+                                              bounds, imgs):
+        if imgs:
+            imgs[-1] = (last & -last).bit_length() - 1
         return imgs
     return None
-
-
-# the deadline is checked once per this many images
-_CHECK_EVERY = 1024
 
 
 def all_embedding_images(host_pts: Sequence[int], host_mask: int,
@@ -297,17 +401,21 @@ def all_embedding_images(host_pts: Sequence[int], host_mask: int,
                          bounds: Sequence[Sequence[int]],
                          deadline: float | None = None) -> list[int]:
     """Image point sets (as bitsets) of the injective embeddings, each
-    copy of the pattern once.
+    copy of the pattern once, in the order ``_embeddings`` meets them.
 
-    Every ``_CHECK_EVERY`` images, raises TimeoutError once
-    ``time.monotonic()`` has passed ``deadline``.
+    Once per last-slot batch (at most 2^n images for a host in F_2^n),
+    raises TimeoutError once ``time.monotonic()`` has passed
+    ``deadline``.
     """
     out: list[int] = []
-    for image in _embeddings([host_pts] * len(checks), host_mask, checks,
-                             bounds, [0] * len(checks)):
-        out.append(image)
-        if (deadline is not None and len(out) % _CHECK_EVERY == 0
-                and time.monotonic() > deadline):
+    for image, last, offsets in _embeddings(host_pts, host_mask, checks,
+                                            bounds, [0] * len(checks)):
+        for v in _members(last):
+            img = image | 1 << v
+            for t in offsets:
+                img |= 1 << (v ^ t)
+            out.append(img >> 1)
+        if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("deadline passed while indexing copies")
     return out
 
@@ -315,11 +423,21 @@ def all_embedding_images(host_pts: Sequence[int], host_mask: int,
 def count_embedding_images(host_pts: Sequence[int], host_mask: int,
                            checks: Sequence[Sequence[int]],
                            bounds: Sequence[Sequence[int]]) -> int:
-    """Number of the images ``all_embedding_images`` returns, counted as
-    they are generated, so that none is kept."""
-    return sum(1 for _image in _embeddings([host_pts] * len(checks),
-                                           host_mask, checks, bounds,
-                                           [0] * len(checks)))
+    """Number of the images ``all_embedding_images`` returns: the
+    popcounts of the last-slot bitsets, so that no image is built."""
+    return sum(last.bit_count() for _image, last, _offsets
+               in _embeddings(host_pts, host_mask, checks, bounds,
+                              [0] * len(checks)))
+
+
+def _members(bits: int) -> list[int]:
+    """The positions of the set bits of ``bits``, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        out.append(low.bit_length() - 1)
+    return out
 
 
 def cover_exists(n: int, pmask: int, depth: int) -> list[int] | None:
@@ -329,6 +447,16 @@ def cover_exists(n: int, pmask: int, depth: int) -> list[int] | None:
     kernel of the chosen functionals misses the point set ``pmask``
     entirely.  The search branches on the lowest uncovered point, and
     choosing a leaves ``uncovered & ~parity_masks(n)[a]``.
+
+    A functional whose leading bit leads one already chosen is skipped,
+    so the chosen ones have distinct leading bits.  This loses no cover:
+    every uncovered point lies in the kernel of the chosen ones, so all
+    functionals of a coset of their span cover the same uncovered points,
+    and reducing by the chosen ones whose leading bits it shares gives a
+    member of the coset that is not skipped (and not 0, since it covers
+    the branch point).  So whether a search from ``uncovered`` with d
+    functionals left succeeds depends on those two alone, and the
+    ``failed`` memo keys on them.
     """
     if pmask == 0:
         return []
@@ -336,7 +464,7 @@ def cover_exists(n: int, pmask: int, depth: int) -> list[int] | None:
     failed: dict[int, int] = {}
     chosen: list[int] = []
 
-    def search(uncovered: int, d: int) -> bool:
+    def search(uncovered: int, d: int, leads: int) -> bool:
         if uncovered == 0:
             return True
         if d == 0:
@@ -344,14 +472,17 @@ def cover_exists(n: int, pmask: int, depth: int) -> list[int] | None:
         if failed.get(uncovered, -1) >= d:
             return False
         v = (uncovered & -uncovered).bit_length()
-        for a in range(1, len(table)):
-            if not (a & v).bit_count() & 1:
+        for i in range(n):
+            if leads >> i & 1:
                 continue
-            chosen.append(a)
-            if search(uncovered & ~table[a], d - 1):
-                return True
-            chosen.pop()
+            for a in range(1 << i, 2 << i):
+                if not (a & v).bit_count() & 1:
+                    continue
+                chosen.append(a)
+                if search(uncovered & ~table[a], d - 1, leads | 1 << i):
+                    return True
+                chosen.pop()
         failed[uncovered] = d
         return False
 
-    return chosen if search(pmask, depth) else None
+    return chosen if search(pmask, depth, 0) else None

@@ -21,6 +21,7 @@ from functools import lru_cache
 from bmx import kernels
 from bmx.errors import CapacityError
 from bmx.gf2core import bitset_of, points_of
+from bmx.kernels import EX_MAX_DIM
 from bmx.matroid import Matroid, recoordinatize
 
 CANON_MAX_DIM = 8
@@ -103,22 +104,19 @@ def _orbit_bounds(checks: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     for i in range(r):
         b = 1 << i
         fixed = (1 << b - 1) - 1  # the nonzero y in span(b_0..b_{i-1})
-        pinned = [(1 << h,) for h in range(i)]
+        pinned = tuple(1 << h for h in range(i))
         for x in pts:
             if (x >> i and x != b and inv[x] == inv[b]
                     and (profile[x] ^ profile[b]) & fixed == 0):
-                cands = pinned + [(x,)] + [pts] * (r - i - 1)
-                found = kernels._embeddings(cands, mask, checks, unbounded,
-                                            [0] * r)
+                found = kernels._embeddings(pts, mask, checks, unbounded,
+                                            [0] * r, pinned + (x,))
                 if next(found, None) is not None:
                     slots[x] |= 1 << i
     return tuple(tuple(slots[c] for c in cs) for cs in checks)
 
 
-# the largest dimension in which ``ex`` searches and ``count_restrictions``
-# counts, and the most copies either enumerates, checked against
-# ``_copy_count`` before any copy is built
-EX_MAX_DIM = 8
+# the most copies ``ex`` or ``count_restrictions`` enumerates, checked
+# against ``_copy_count`` before any copy is built
 _MAX_COPIES = 5_000_000
 
 

@@ -741,3 +741,38 @@ def test_aes_check_and_probe():
     pts = witness.sorted_points()
     for a, b in combinations(pts, 2):
         assert (a ^ b) not in witness.points
+
+
+def _incidence_by_bits(copies: list[int], total: int) -> list[int]:
+    """The per-bit loop that ``extremal._incidence`` replaced: each set
+    bit of each copy sets the copy's id in its point's row."""
+    nbytes = (len(copies) + 7) // 8
+    rows = [bytearray(nbytes) for _ in range(total)]
+    for cid, c in enumerate(copies):
+        byte, bit = cid >> 3, 1 << (cid & 7)
+        while c:
+            low = c & -c
+            rows[low.bit_length() - 1][byte] |= bit
+            c ^= low
+    return [int.from_bytes(row, "little") for row in rows]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_incidence_matches_the_per_bit_loop(n):
+    # byte widths 1 to 32; no copy, one copy, and more copies than one
+    # chunk of the transpose, with its last chunk partly filled
+    rng = random.Random(n)
+    total = (1 << n) - 1
+    chunk = extremal._INCIDENCE_CHUNK
+    for count in (0, 1, 9, chunk, 2 * chunk + 13):
+        copies = [rng.getrandbits(total) for _ in range(count)]
+        if copies:
+            copies[0] = (1 << total) - 1  # every point, the top one too
+        assert (extremal._incidence(copies, total)
+                == _incidence_by_bits(copies, total)), (n, count)
+
+
+def test_incidence_of_the_indexed_copies():
+    fam = Family.from_matroids([circuit(4), pg(2)])
+    copies = extremal._all_copies(fam, 5)
+    assert extremal._incidence(copies, 31) == _incidence_by_bits(copies, 31)

@@ -267,3 +267,23 @@ def test_matroid_validation():
         Matroid(2, frozenset({4}))
     with pytest.raises(UsageError):
         Matroid(25, frozenset())
+
+
+def test_cover_exists_matches_the_naive_chi():
+    # random sets of dimension 1 to 5: the least depth that finds a cover
+    # is chi, and each cover found covers every point with functionals of
+    # distinct leading bits
+    rng = random.Random(16)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        m = random_matroid(rng, n, rng.choice([0.2, 0.5, 0.8, 1.0]))
+        c = naive_chi(m)
+        for depth in range(c, n + 1):
+            funs = kernels.cover_exists(n, m.mask, depth)
+            assert funs is not None and len(funs) <= depth
+            assert all(any((a & p).bit_count() & 1 for a in funs)
+                       for p in m.points)
+            leads = [a.bit_length() for a in funs]
+            assert len(set(leads)) == len(leads)
+        if c:
+            assert kernels.cover_exists(n, m.mask, c - 1) is None

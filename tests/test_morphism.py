@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -495,3 +495,122 @@ def test_a_pattern_declared_in_dimension_20_is_scheduled_from_its_points():
     with time_budget(1):
         assert count_restrictions(pg(4), tri20()) == 35  # lines of PG(3,2)
 
+
+
+def test_count_and_images_agree_with_the_naive_count():
+    # the popcounts of the last-slot bitsets, the expanded images and the
+    # brute-force count over every injective map, on seeded sparse hosts
+    rng = random.Random(16)
+    patterns = [pg(2), free(2), free(3), circuit(4), pg(3), _mk4(), free(4)]
+    with time_budget(30):
+        for n in (3, 4, 5, 6):
+            for _ in range(3):
+                host = random_matroid(rng, n, rng.choice([0.3, 0.5]))
+                for pattern in patterns:
+                    if pattern.rank > n or pattern.rank > 7 - n:
+                        continue  # rank 4 in F_2^5: 625k maps per host
+                    sched = _schedule_cached(pattern.mask)
+                    args = (host.sorted_points(), host.mask, sched.checks,
+                            sched.bounds)
+                    count = kernels.count_embedding_images(*args)
+                    assert count == len(kernels.all_embedding_images(*args))
+                    assert count == naive_count_restrictions(host, pattern)
+
+
+def _images_over_host_points(host: Matroid, pattern: Matroid) -> set:
+    """The image of every injective map that sends a basis of the pattern
+    to distinct host points and every pattern point into the host, by
+    trying each tuple of host points: the basis lies in the pattern, so
+    its images are host points in any embedding."""
+    basis = [p for p in pattern.sorted_points()
+             if rank([q for q in pattern.sorted_points() if q <= p])
+             > rank([q for q in pattern.sorted_points() if q < p])]
+    coords = []
+    for p in pattern.points:
+        for c in range(1, 1 << len(basis)):
+            x = 0
+            for i, b in enumerate(basis):
+                if c >> i & 1:
+                    x ^= b
+            if x == p:
+                coords.append(c)
+    coords.sort(key=lambda c: -c.bit_count())  # the closed points first
+    images = set()
+    for imgs in permutations(host.sorted_points(), len(basis)):
+        image = set()
+        for c in coords:
+            x = 0
+            for i, y in enumerate(imgs):
+                if c >> i & 1:
+                    x ^= y
+            if x not in host.points:
+                break
+            image.add(x)
+        else:
+            if len(image) == len(coords):
+                images.add(frozenset(image))
+    return images
+
+
+@pytest.mark.parametrize("size, whole", [(48, True), (16, False)],
+                         ids=["whole", "scan"])
+def test_both_sides_of_the_slot_bitset_choice(size, whole):
+    # above EX_MAX_DIM a host of at least 5 points per dimension has its
+    # slots read off whole bitsets, and a sparser one is scanned; both
+    # give every copy once
+    rng = random.Random(17 + size)
+    n = 9
+    assert kernels.EX_MAX_DIM < n
+    for _ in range(3):
+        pts = frozenset(rng.sample(range(1, 1 << n), size - 4))
+        # the Fano plane spanned by three points with the top coordinate,
+        # so that every pattern has copies to find
+        x, y, z = rng.sample(range(1 << 8, 1 << n), 3)
+        pts |= {x, y, x ^ y, z, x ^ z, y ^ z, x ^ y ^ z}
+        host = Matroid(n, pts)
+        assert kernels._whole_slots(n, host.size) == whole
+        for pattern in (pg(2), circuit(4), pg(3), _mk4()):
+            sched = _schedule_cached(pattern.mask)
+            args = (host.sorted_points(), host.mask, sched.checks,
+                    sched.bounds)
+            images = kernels.all_embedding_images(*args)
+            assert len(images) == kernels.count_embedding_images(*args)
+            want = _images_over_host_points(host, pattern)
+            assert {_mask_points(c) for c in images} == want
+            assert len(images) == len(want)
+            assert contains(host, pattern) == bool(want)
+            assert (kernels.find_embedding(*args) is None) == (not want)
+
+
+def test_slot_bitset_sides_agree(monkeypatch):
+    # the same hosts read both ways: the same images in the same order,
+    # and the same first embedding
+    rng = random.Random(18)
+    hosts = [random_matroid(rng, n, d) for n in (4, 5, 6)
+             for d in (0.3, 0.7)]
+    patterns = [pg(2), circuit(4), pg(3), _mk4(), free(3)]
+    results = {}
+    for whole in (True, False):
+        monkeypatch.setattr(kernels, "_whole_slots",
+                            lambda dim, size, whole=whole: whole)
+        results[whole] = [
+            (kernels.all_embedding_images(*args),
+             kernels.find_embedding(*args))
+            for host in hosts for pattern in patterns
+            for sched in [_schedule(pattern.mask)]
+            for args in [(host.sorted_points(), host.mask, sched.checks,
+                          sched.bounds)]]
+    assert results[True] == results[False]
+
+
+def test_a_four_point_host_in_dimension_24():
+    # a bitset over F_2^24 has 16 million bits: such a sparse host is
+    # scanned, and counting refuses it before looking at its points
+    host = Matroid(24, frozenset({1 << 23, 1 << 22, 3 << 22, 5}))
+    with time_budget(2):
+        assert contains(host, pg(2))
+        assert not contains(host, circuit(4))
+        assert contains(host, free(3))
+        assert not contains(host, pg(3))
+        with pytest.raises(CapacityError, match="host dim <= 8"):
+            count_restrictions(host, pg(2))
