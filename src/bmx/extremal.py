@@ -10,7 +10,13 @@ from typing import Iterator
 
 from bmx import kernels, morphism
 from bmx.errors import CapacityError, UsageError
-from bmx.gf2core import enumerate_subspaces, parity_masks, points_of, rank_ints
+from bmx.gf2core import (
+    bitset_of,
+    enumerate_subspaces,
+    parity_masks,
+    points_of,
+    rank_ints,
+)
 from bmx.matroid import (
     LiftSpec,
     Matroid,
@@ -307,7 +313,8 @@ def ex_search(family: Family, n: int,
     copy with exactly two undecided points if there is one, else the
     first live copy: for its undecided points p_1 < ... < p_m, child i
     excludes p_i and protects p_1..p_{i-1}, so no state is reached
-    twice.  The incumbent is seeded greedily.
+    twice.  The incumbent is seeded greedily, or with a Bose-Burton
+    geometry (below).
 
     Symmetry.  The copy set is invariant under GL(n,2): a copy is the
     image of a member under an injective linear map, and composing with
@@ -340,9 +347,33 @@ def ex_search(family: Family, n: int,
     valid bound prunes only subtrees holding no set larger than the
     incumbent, so incumbents, value and witness are unchanged by it.
 
+    Bose-Burton seed and hyperplane bound.  Let k be the least critical
+    number over the members of rank <= n, minus one; a member of higher
+    rank has no copy, and its critical number is never computed.  For
+    k >= 1 the incumbent is BB(n, k), the points outside
+    span(e_{k+1}..e_n), when that beats the greedy set.  It is free with
+    no containment test: it misses a codimension-k subspace, so each of
+    its restrictions has critical number at most k, below every
+    member's.  It also holds e1..ek, the points the symmetry protects.
+    While the incumbent is at most |BB(n, k)|, a recursive solve of
+    ex(family, n - 1) under what is left of the time limit gives a
+    bound, if it is certified.  A free set S meets each hyperplane in a
+    free set of a PG(n-2,2), and each point lies in 2^(n-1) - 1 of the
+    2^n - 1 hyperplanes, so (2^(n-1) - 1)|S| <= (2^n - 1) ex(family, n-1).
+    An incumbent at the bound is certified at once, with 0 nodes and no
+    flats; otherwise the search stops at the first leaf that reaches it.
+    Write ex(family, n - 1) = |BB(n-1, k)| + c.  For
+    0 <= c < 2^(n-1-k) - 1 the bound is |BB(n, k)| + 2c, so it closes on
+    BB(n, k) exactly when c = 0, that is, when ex(family, n - 1) is the
+    Bose-Burton value.  A greedy set larger than |BB(n, k)| shows c > 0.
+    The bound is then 2c above |BB(n, k)|, where the paper's lift
+    reaches only c above it once ex(D(family), .) has settled, so the
+    solve is skipped there and the search closes the gap itself.
+
     ``nodes`` counts the search nodes that passed the size test, not
-    those of the recursive solves for the caps.  The deadline also holds
-    while the copies are indexed and while the flats are set up.  If it
+    those of the recursive solves for the caps and the bound.  The
+    deadline also holds while the copies are indexed, during the solve
+    for the bound and while the flats are set up.  If it
     passes during indexing, the certificate is uncertified, with value 0,
     an empty witness and 0 nodes.  ``time_limit`` must be >= 0 (``inf``
     means none); a NaN would never pass and is refused.
@@ -368,12 +399,28 @@ def ex_search(family: Family, n: int,
     inc = _incidence(copies, total)
     best_mask = _greedy_free(inc)
     best = best_mask.bit_count()
-    flats = _flats(family, n, deadline)
+    ub = total  # no free set is larger; the hyperplane bound may lower it
+    spans = [s for s in family.spans if s.dim <= n]
+    k = min(map(chi, spans)) - 1 if spans else 0
+    if k >= 1:
+        # BB(n, k): the points outside span(e_{k+1}..e_n).  k < n, since
+        # chi is at most the rank, so 2^(n-1) - 1 below is at least 1
+        bb_mask = all_mask ^ bitset_of(q << k for q in range(1, 1 << (n - k)))
+        bb_size = bb_mask.bit_count()
+        if best < bb_size:
+            best, best_mask = bb_size, bb_mask
+        if best <= bb_size:
+            left = (None if deadline is None
+                    else max(0.0, deadline - time.monotonic()))
+            sub = ex_search(family, n - 1, time_limit=left)
+            if sub.certified:
+                ub = total * sub.value // ((1 << (n - 1)) - 1)
     nodes = 0
     certified = True
     # (allowed, kept, alive, hot): hot lists the flats that the parent
     # left charging at least 2
-    stack = [(all_mask, 0, (1 << len(copies)) - 1, flats)]
+    stack = [] if best >= ub else [
+        (all_mask, 0, (1 << len(copies)) - 1, _flats(family, n, deadline))]
     while stack:
         allowed, kept, alive, hot = stack.pop()
         size = allowed.bit_count()
@@ -412,6 +459,8 @@ def ex_search(family: Family, n: int,
             continue  # bounded, or a copy lies inside kept
         if not alive:
             best, best_mask = size, allowed
+            if best >= ub:
+                break
             continue
         pairs = twos & ~threes
         if hot:

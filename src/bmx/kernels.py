@@ -62,10 +62,11 @@ def _whole_slots(dim: int, size: int) -> bool:
     for a host of ``size`` points whose highest point needs dim bits?
 
     Inside EX_MAX_DIM a bitset is a few machine words.  Above it every
-    bitset, and every single-bit test of one, costs 2^dim bits: a closure
-    check then takes about 5 bitset operations per bit of its offset, and
-    a scan one test per host point.  On random hosts of dimension 12 to
-    20 the scan was faster below about 5 points per dimension.
+    bitset costs 2^dim bits: a closure check then takes about 5 bitset
+    operations per bit of its offset, and a scan one set lookup per host
+    point.  On random hosts of dimension 12 to 20 the scan was faster
+    below about 5 points per dimension, when each of its tests was a
+    shift over 2^dim bits.
     """
     return dim <= EX_MAX_DIM or size >= 5 * dim
 
@@ -254,8 +255,9 @@ def _embeddings(host_pts: Sequence[int], host_mask: int,
 
     On a sparse host of high dimension (``_whole_slots``), a bitset over
     every vector costs more than the few points the host offers, so each
-    slot scans its candidates one by one, and only the last slot gathers
-    its survivors into a bitset.
+    slot scans its candidates one by one, looking up the host points and
+    the span of the earlier images in sets, and only the last slot
+    gathers its survivors into a bitset.
 
     Lex-leader rule.  Let b_j = 1 << j be the basis in slot coordinates
     and O_j the orbit of b_j under the automorphisms of N that fix
@@ -288,6 +290,7 @@ def _embeddings(host_pts: Sequence[int], host_mask: int,
     hm = host_mask << 1
     dim = host_mask.bit_length().bit_length()
     lows = _lows(dim) if _whole_slots(dim, len(host_pts)) else None
+    host = set(host_pts) if lows is None else None
     own = [0] * r  # own[j]: the slots bounding the basis point b_j
     # closes[j]: (coefficients of the earlier slots, the earlier slots of
     # its bound, whether its bound names slot j) for each point slot j
@@ -313,7 +316,8 @@ def _embeddings(host_pts: Sequence[int], host_mask: int,
 
     def survivors(j: int, blocked: int) -> tuple[int | list[int], list[int]]:
         # slot j's passing images, as a bitset for the last slot and as an
-        # ascending list before it, and its checks' offsets
+        # ascending list before it, and its checks' offsets; ``blocked`` is
+        # the bitset of ``span``, kept only when reading whole slots
         offsets = [span[c] for c, _b, _strict in closes[j]]
         lo = floor(own[j]) + 1
         if lows is not None:
@@ -335,13 +339,14 @@ def _embeddings(host_pts: Sequence[int], host_mask: int,
         ts = [(t, floor(b), 1 << t.bit_length() - 1 if strict else 0)
               for t, (_c, b, strict) in zip(offsets, closes[j])]
         pts = (pinned[j],) if j < len(pinned) else host_pts
+        spanned = set(span)
         found = []
         for v in pts[bisect_left(pts, lo):]:
-            if blocked >> v & 1:
+            if v in spanned:
                 continue
             for t, lb, top in ts:
                 x = v ^ t
-                if not hm >> x & 1 or x <= lb or v & top:
+                if x not in host or x <= lb or v & top:
                     break
             else:
                 found.append(v)
@@ -364,8 +369,9 @@ def _embeddings(host_pts: Sequence[int], host_mask: int,
             size = len(span)
             span.extend([v ^ s for s in span])
             inner = blocked
-            for w in span[size:]:
-                inner |= 1 << w
+            if lows is not None:
+                for w in span[size:]:
+                    inner |= 1 << w
             last, last_offsets = survivors(j + 1, inner)
             if last and penultimate:
                 yield img, last, last_offsets

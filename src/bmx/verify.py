@@ -36,10 +36,10 @@ class Row:
     detail: str
 
 
-# (t, n) cells: exclude PG(t,2) = pg(t+1) in dimension n
-BOSE_BURTON_CELLS = (
-    (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4),
-)
+# (t, n) cells: exclude PG(t,2) = pg(t+1) in dimension n, for every
+# t in 1..3 and t < n <= 8; ``--max-n`` cuts them at n
+BOSE_BURTON_CELLS = tuple(
+    (t, n) for t in (1, 2, 3) for n in range(t + 1, 9))
 
 
 def octahedron() -> SimpleGraph:

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from bmx import __version__, cli, morphism
+from bmx import __version__, cli, morphism, verify
 from bmx.cli import COMMANDS, run
 from bmx.graphs import SimpleGraph
 from bmx.matroid import (
@@ -255,7 +255,7 @@ def test_text_output_is_one_line_per_json_field(capsys, tmp_path, tri_file):
     code, out = invoke(capsys, "ex", tri_file, "--n", "3")
     assert code == 0
     assert out.startswith("family bm:2:07\nn 3\nvalue 4\nwitness bm:3:4b\n"
-                          "method branch-bound\ncertified true\nnodes 2\n"
+                          "method branch-bound\ncertified true\nnodes 0\n"
                           "elapsed_ms ")
 
 
@@ -425,6 +425,13 @@ def test_verify_bose_burton_small(capsys):
     code, out = invoke(capsys, "verify", "bose-burton", "--max-n", "1")
     assert code == 1
     assert "RESULT FAIL (0/0)" in out
+
+
+def test_bose_burton_suite_to_n7():
+    # every t in 1..3 with t < n <= 7, each certified at the root
+    with time_budget(10):
+        rows = verify.suite_bose_burton(max_n=7)
+    assert len(rows) == 15 and all(r.ok for r in rows), rows
 
 
 def test_verify_rejects_options_a_suite_does_not_take(capsys):

@@ -126,14 +126,15 @@ def test_ex_bose_burton_values():
         cert = ex_search(Family.from_matroids([pg(t + 1)]), n)
         assert cert.value == (1 << n) - (1 << (n - t))
         assert isomorphic(cert.witness, bb(n, t))
-    # larger cells, certified within a budget (isomorphism is too slow here)
-    for t, n in [(1, 5), (1, 6), (1, 7), (2, 6), (3, 6)]:
+    # larger cells, certified at the root by the hyperplane bound
+    # (isomorphism is too slow here)
+    for t, n in [(1, 5), (1, 6), (1, 7), (2, 6), (2, 7), (3, 6)]:
         with time_budget(20):
             cert = ex_search(Family.from_matroids([pg(t + 1)]), n,
                              time_limit=10)
-        assert cert.certified
+            assert not contains(cert.witness, pg(t + 1))
+        assert cert.certified and cert.nodes == 0
         assert cert.value == cert.witness.size == (1 << n) - (1 << (n - t))
-        assert not contains(cert.witness, pg(t + 1))
 
 
 def test_ex_search_is_deterministic():
@@ -381,6 +382,102 @@ def test_ex_skips_an_uncertified_flat_cap(monkeypatch):
     cert = real(Family.from_matroids([complete_graphic(4)]), 5)
     assert flats[5] == []
     assert cert.certified and cert.value == 17 and cert.nodes == 18160
+
+
+@pytest.mark.parametrize("member", [free(13), pg(13)], ids=["I13", "PG13"])
+def test_ex_ignores_members_too_large_to_embed(member):
+    # a member of rank 13 has no copy in F_2^5, and its critical number
+    # (limited to rank 12) is never asked for
+    cert = ex_search(Family.from_matroids([member]), 5)
+    assert cert.certified and (cert.value, cert.nodes) == (31, 0)
+
+
+@pytest.mark.parametrize("member, value", [
+    (circuit(5), 32), (complete_graphic(5), 48)], ids=["C5", "M(K5)"])
+def test_ex_root_bound_certifies_bose_burton(member, value):
+    # beyond the PG cells of test_ex_bose_burton_values: the hyperplane
+    # bound from a certified ex(F, 5) closes on BB(6, 1) and BB(6, 2)
+    with time_budget(20):
+        cert = ex_search(Family.from_matroids([member]), 6)
+        assert not contains(cert.witness, member)
+    assert cert.certified and cert.method == "branch-bound"
+    assert (cert.value, cert.witness.size, cert.nodes) == (value, value, 0)
+
+
+@pytest.mark.parametrize("member, nodes", [
+    (complete_graphic(4), 908), (circuit(4), 6226)], ids=["M(K4)", "C4"])
+def test_ex_solves_no_hyperplane_cap_when_the_bound_cannot_close(
+        monkeypatch, member, nodes):
+    # M(K4): the greedy 17 beats BB(5, 1); C4: k = 0, no Bose-Burton seed
+    real = extremal.ex_search
+    asked = []
+
+    def counted(family, n, time_limit=None):
+        asked.append(n)
+        return real(family, n, time_limit=time_limit)
+
+    monkeypatch.setattr(extremal, "ex_search", counted)
+    cert = real(Family.from_matroids([member]), 5)
+    assert 4 not in asked
+    assert cert.certified and cert.nodes == nodes
+
+
+def test_ex_hyperplane_solve_gets_what_is_left_of_the_deadline(monkeypatch):
+    real = extremal.ex_search
+    limits = []
+
+    def slow(family, n, time_limit=None):
+        limits.append((n, time_limit))
+        time.sleep(0.6)
+        return real(family, n, time_limit=time_limit)
+
+    monkeypatch.setattr(extremal, "ex_search", slow)
+    cert = real(Family.from_matroids([pg(3)]), 4, time_limit=0.5)
+    assert limits[0][0] == 3 and 0 <= limits[0][1] <= 0.5
+    assert not cert.certified
+    assert cert.value == cert.witness.size == 12
+    assert not contains(cert.witness, pg(3))
+
+
+def test_ex_uncertified_hyperplane_solve_gives_no_bound(monkeypatch):
+    # the Bose-Burton seed stays, but the search has to certify it
+    real = extremal.ex_search
+
+    def uncertified(family, n, time_limit=None):
+        return replace(real(family, n, time_limit), certified=False)
+
+    monkeypatch.setattr(extremal, "ex_search", uncertified)
+    cert = real(Family.from_matroids([pg(3)]), 5)
+    assert cert.certified and cert.nodes > 0
+    assert (cert.value, to_compact(cert.witness)) == (24, "bm:5:77777777")
+
+
+@pytest.mark.parametrize("members", [
+    [pg(2)], [pg(3)], [circuit(5)], [pg(2), complete_graphic(4)]],
+    ids=["tri", "Fano", "C5", "tri+M(K4)"])
+def test_hyperplane_bound_is_at_least_the_naive_ex(monkeypatch, members):
+    # the bound taken from each recursive solve at n - 1 against the
+    # exhaustive maximum at n
+    fam = Family.from_matroids(members)
+    real = extremal.ex_search
+    subs = {}
+
+    def recorded(family, n, time_limit=None):
+        subs[n] = real(family, n, time_limit=time_limit)
+        return subs[n]
+
+    monkeypatch.setattr(extremal, "ex_search", recorded)
+    bounded = 0
+    for n in range(2, 5):
+        subs.clear()
+        want = naive_ex(fam, n)
+        assert real(fam, n).value == want
+        if n - 1 in subs:
+            sub = subs[n - 1]
+            assert sub.certified
+            bounded += 1
+            assert ((1 << n) - 1) * sub.value // ((1 << (n - 1)) - 1) >= want
+    assert bounded
 
 
 def _mask(points) -> int:
