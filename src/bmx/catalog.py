@@ -39,11 +39,13 @@ def entry_key(members: tuple[Matroid, ...], n: int) -> str:
 def verify_certificate(cert: TuranCertificate) -> str | None:
     """Re-check a certificate independently of its search transcript.
 
-    The certificate must be certified, and the witness must live in the
-    right dimension, have the claimed size, and be free of every family
-    member.  Optimality is exactly what the transcript attests and is not
-    re-derived here.  Returns a diagnostic string, or None if the
-    certificate verifies.
+    Of the payload fields, ``certified`` must be true and ``witness``
+    must live in dimension ``n`` and be free of every family member;
+    ``value`` is re-checked as the witness size, and ``family`` and ``n``
+    through the catalog key (``Catalog._load``).  ``method``, ``nodes``
+    and ``elapsed_ms`` are informational.  Optimality is exactly what the
+    transcript attests and is not re-derived here.  Returns a diagnostic
+    string, or None if the certificate verifies.
     """
     if not cert.certified:
         return "certificate is not certified"

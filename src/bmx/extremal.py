@@ -9,14 +9,8 @@ from functools import cache, cached_property
 from typing import Iterator
 
 from bmx import kernels, morphism
-from bmx.errors import CapacityError, UsageError
-from bmx.gf2core import (
-    bitset_of,
-    enumerate_subspaces,
-    parity_masks,
-    points_of,
-    rank_ints,
-)
+from bmx.errors import CapacityError, FormatError, UsageError
+from bmx.gf2core import flats, points_of, rank_ints
 from bmx.matroid import (
     LiftSpec,
     Matroid,
@@ -115,15 +109,20 @@ class TuranCertificate:
 
     @staticmethod
     def from_json_dict(d: dict) -> "TuranCertificate":
+        """Read back ``to_json_dict``.  Nothing is coerced: the counts
+        must be JSON integers, ``method`` a string and ``certified`` a
+        JSON boolean, or FormatError is raised."""
+        fields = {"n": int, "value": int, "nodes": int, "elapsed_ms": int,
+                  "method": str, "certified": bool}
+        for name, kind in fields.items():
+            # exact types: bool is a subclass of int, and no count
+            if type(d[name]) is not kind:
+                raise FormatError(
+                    f"payload field {name!r} is not {kind.__name__}")
         return TuranCertificate(
             family=tuple(from_compact(s) for s in d["family"]),
-            n=int(d["n"]),
-            value=int(d["value"]),
             witness=from_compact(d["witness"]),
-            method=str(d["method"]),
-            certified=bool(d["certified"]),
-            nodes=int(d["nodes"]),
-            elapsed_ms=int(d["elapsed_ms"]),
+            **{name: d[name] for name in fields},
         )
 
 
@@ -218,23 +217,30 @@ def _flats(family: Family, n: int,
     least |allowed & W| - cap of W's points.  A full flat charges at least
     2 exactly when PG(r-1,2) minus a point contains a member (the points
     are one orbit), so that one ``contains`` call comes before the
-    recursive solve for the cap.  A cap that the deadline left
-    uncertified is not used: its rank is skipped.
+    recursive solve for the cap (``_certified_ex``).  A cap that the
+    deadline left uncertified is not used: its rank is skipped.
     """
     all_mask = (1 << (1 << n) - 1) - 1
-    masks = parity_masks(n)
-    flats: list[tuple[int, int]] = []
+    charged: list[tuple[int, int]] = []
     for r in sorted({m.rank for m in family.members if m.rank <= n - 2}):
         punctured = delete(pg(r), [1])
         if not any(contains(punctured, m) for m in family.members):
             continue
-        left = (None if deadline is None
-                else max(0.0, deadline - time.monotonic()))
-        sub = ex_search(family, r, time_limit=left)
-        if sub.certified:
-            flats += [(all_mask & ~_seen(masks, dual), sub.value)
-                      for dual in enumerate_subspaces(n, n - r)]
-    return flats
+        cap = _certified_ex(family, r, deadline)
+        if cap is not None:
+            charged += [(all_mask & ~outside, cap)
+                        for _functionals, outside in flats(n, n - r)]
+    return charged
+
+
+def _certified_ex(family: Family, n: int,
+                  deadline: float | None) -> int | None:
+    """ex(family, n) from a recursive ``ex_search`` under what is left
+    before ``deadline`` (None: no limit), or None if that solve is not
+    certified."""
+    left = None if deadline is None else max(0.0, deadline - time.monotonic())
+    sub = ex_search(family, n, time_limit=left)
+    return sub.value if sub.certified else None
 
 
 def _packing(inc: list[int], copies: list[int], und: int, alive: int,
@@ -403,18 +409,16 @@ def ex_search(family: Family, n: int,
     spans = [s for s in family.spans if s.dim <= n]
     k = min(map(chi, spans)) - 1 if spans else 0
     if k >= 1:
-        # BB(n, k): the points outside span(e_{k+1}..e_n).  k < n, since
-        # chi is at most the rank, so 2^(n-1) - 1 below is at least 1
-        bb_mask = all_mask ^ bitset_of(q << k for q in range(1, 1 << (n - k)))
+        # BB(n, k) lies outside the first flat, span(e_{k+1}..e_n).  k < n
+        # (chi is at most the rank), so 2^(n-1) - 1 below is at least 1
+        _functionals, bb_mask = next(flats(n, k))
         bb_size = bb_mask.bit_count()
         if best < bb_size:
             best, best_mask = bb_size, bb_mask
         if best <= bb_size:
-            left = (None if deadline is None
-                    else max(0.0, deadline - time.monotonic()))
-            sub = ex_search(family, n - 1, time_limit=left)
-            if sub.certified:
-                ub = total * sub.value // ((1 << (n - 1)) - 1)
+            cap = _certified_ex(family, n - 1, deadline)
+            if cap is not None:
+                ub = total * cap // ((1 << (n - 1)) - 1)
     nodes = 0
     certified = True
     # (allowed, kept, alive, hot): hot lists the flats that the parent
@@ -505,19 +509,10 @@ def ex_search(family: Family, n: int,
     )
 
 
-def _seen(masks: list[int], functionals: tuple[int, ...]) -> int:
-    """The points that some functional sees (``masks`` from
-    ``parity_masks``): the complement of their common kernel."""
-    out = 0
-    for a in functionals:
-        out |= masks[a]
-    return out
-
-
 def _slices(family: Family) -> Iterator[Matroid]:
     """Every slice M & W of every member's span M, for W a
-    codimension-k subspace of span(M) (k = ``family.k``): with W the
-    common kernel of k functionals, the points none of them sees.
+    codimension-k flat of span(M) (k = ``family.k``, W from
+    ``gf2core.flats``).
 
     Removing X from M leaves critical number <= k exactly when X contains
     a slice, and for k < chi(M) no slice is empty.  The slices are taken
@@ -532,9 +527,8 @@ def _slices(family: Family) -> Iterator[Matroid]:
             f"codimension-k slices limited to member rank <= {SLICE_MAX_RANK}")
     k = family.k
     for s in family.spans:
-        masks = parity_masks(s.dim)
-        for dual in enumerate_subspaces(s.dim, k):
-            yield Matroid.from_mask(s.dim, s.mask & ~_seen(masks, dual))
+        for _functionals, outside in flats(s.dim, k):
+            yield Matroid.from_mask(s.dim, s.mask & ~outside)
 
 
 def decomposition_family(family: Family) -> Family:
@@ -666,8 +660,8 @@ class StabilityReport:
 def nearest_bose_burton(m: Matroid, k: int) -> StabilityReport:
     """Minimize |M symdiff (F_2^n minus W)| over codimension-k subspaces W.
 
-    W runs over the kernels of the k-dimensional dual spaces, in the order
-    of ``enumerate_subspaces``; the first minimum wins.
+    W runs over the codimension-k flats in the order of
+    ``gf2core.flats``; the first minimum wins.
     """
     if m.dim > NEAREST_MAX_DIM:
         raise CapacityError(f"stability scan limited to dim <= {NEAREST_MAX_DIM}")
@@ -675,14 +669,11 @@ def nearest_bose_burton(m: Matroid, k: int) -> StabilityReport:
         raise UsageError(f"order must be in 1..{NEAREST_MAX_ORDER}")
     if k > m.dim:
         raise UsageError("order exceeds dimension")
-    masks = parity_masks(m.dim)
     best = None
-    for dual in enumerate_subspaces(m.dim, k):
-        b_mask = _seen(masks, dual)
-        d = (m.mask ^ b_mask).bit_count()
+    for functionals, outside in flats(m.dim, k):
+        d = (m.mask ^ outside).bit_count()
         if best is None or d < best[0]:
-            best = (d, dual, b_mask)
-    assert best is not None
+            best = (d, functionals, outside)
     d, functionals, b_mask = best
     return StabilityReport(
         functionals=functionals,

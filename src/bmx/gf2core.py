@@ -4,8 +4,9 @@ Vectors in F_2^n are plain ints: coordinate i is bit i-1, so coordinate 1
 is the least significant bit and a nonzero vector doubles as its point
 index in 1..2^n-1.  A set of points is a bitset over those indices (bit
 p-1 for point p); ``points_of`` and ``bitset_of`` convert between the two
-in time linear in the bitset's length, and ``parity_masks`` gives, for
-every functional a, the set of points it sees.
+in time linear in the bitset's length, ``parity_masks`` gives, for
+every functional a, the set of points it sees, and ``flats`` walks the
+flats of a given codimension.
 """
 
 from __future__ import annotations
@@ -73,23 +74,25 @@ def rref_ints(vectors: Iterable[int]) -> tuple[list[int], list[int]]:
     return basis, [p.bit_length() - 1 for p in pivs]
 
 
-def enumerate_subspaces(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-dimensional subspaces of F_2^n, each exactly once, as a
-    reduced row-echelon basis tuple.
+def flats(n: int, c: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every codimension-c flat of F_2^n, each exactly once, as
+    (functionals, outside): a reduced row-echelon basis of the
+    c-dimensional space of functionals whose common kernel is the flat,
+    and the bitset of the points outside it, those some functional sees.
 
     Canonical RREF parametrization: lexicographic over pivot-column sets,
-    then over free entries.  The count is the Gaussian binomial [n k]_2.
+    then over free entries.  The count is the Gaussian binomial [n c]_2.
     """
-    if not (0 <= k <= n <= MAX_DIM):
-        raise UsageError("need 0 <= k <= n <= 24")
-    for pivs in combinations(range(n), k):
-        pivot_set = set(pivs)
+    if not (0 <= c <= n <= MAX_DIM):
+        raise UsageError("need 0 <= c <= n <= 24")
+    masks = parity_masks(n)
+    for pivs in combinations(range(n), c):
         # Free cells: (row i, column j) with j > pivs[i], j not a pivot.
         cells = [
             (i, j)
-            for i in range(k)
+            for i in range(c)
             for j in range(pivs[i] + 1, n)
-            if j not in pivot_set
+            if j not in pivs
         ]
         base = [1 << p for p in pivs]
         for assign in range(1 << len(cells)):
@@ -97,7 +100,10 @@ def enumerate_subspaces(n: int, k: int) -> Iterator[tuple[int, ...]]:
             for idx, (i, j) in enumerate(cells):
                 if (assign >> idx) & 1:
                     rows[i] |= 1 << j
-            yield tuple(rows)
+            outside = 0
+            for a in rows:
+                outside |= masks[a]
+            yield tuple(rows), outside
 
 
 _PARITY_MASKS: dict[int, list[int]] = {}

@@ -73,32 +73,47 @@ def test_atomic_layout(cat):
     assert not list(cat.root.glob("**/*.tmp"))
 
 
-def test_tampered_witness_is_detected(cat):
-    keys = [cat.put(_cert(n)) for n in (2, 3, 4)]
-    report = cat.verify_all()
-    assert report.checked == 3 and not report.failures
-
-    # flip a single point in one stored witness
-    victim = keys[1]
-    path = cat.root / victim[:2] / victim[2:4] / f"{victim}.json"
-    d = json.loads(path.read_text())
-    w = d["payload"]["witness"]  # bm:<n>:<hex>
+def _flip_a_point(w: str) -> str:
+    """A compact witness ``bm:<n>:<hex>`` with one point flipped."""
     prefix, n, hexs = w.split(":")
     raw = bytearray(bytes.fromhex(hexs))
     raw[0] ^= 1
-    d["payload"]["witness"] = f"{prefix}:{n}:{raw.hex()}"
+    return f"{prefix}:{n}:{raw.hex()}"
+
+
+def _rewrite(cat, key, field, stored) -> None:
+    """Store ``stored`` as the payload's ``field`` in the entry ``key``."""
+    path = cat.root / key[:2] / key[2:4] / f"{key}.json"
+    d = json.loads(path.read_text())
+    d["payload"][field] = stored
     path.write_text(json.dumps(d))
 
-    report = cat.verify_all()
-    assert report.checked == 3
-    assert len(report.failures) == 1
-    assert report.failures[0][0] == victim
-    # the bad entry is quarantined with a diagnostic, the rest still serve
-    assert cat.get(victim) is None
-    assert (cat.root / "quarantine" / f"{victim}.json").is_file()
-    assert (cat.root / "quarantine" / f"{victim}.reason").is_file()
-    for k in (keys[0], keys[2]):
-        assert cat.get(k) is not None
+
+def test_tampered_witness_is_detected(tmp_path):
+    # a flipped witness point, or a well-typed value the witness size
+    # refutes
+    for field, tamper, reason in (("witness", _flip_a_point, "witness"),
+                                  ("value", lambda v: v + 1, "witness size")):
+        cat = Catalog(tmp_path / field)
+        keys = [cat.put(_cert(n)) for n in (2, 3, 4)]
+        report = cat.verify_all()
+        assert report.checked == 3 and not report.failures
+
+        victim = keys[1]
+        stored = cat.get(victim).certificate.to_json_dict()[field]
+        _rewrite(cat, victim, field, tamper(stored))
+
+        report = cat.verify_all()
+        assert report.checked == 3
+        assert len(report.failures) == 1
+        assert report.failures[0][0] == victim
+        assert reason in report.failures[0][1]
+        # the bad entry is quarantined with a diagnostic, the rest serve
+        assert cat.get(victim) is None
+        assert (cat.root / "quarantine" / f"{victim}.json").is_file()
+        assert (cat.root / "quarantine" / f"{victim}.reason").is_file()
+        for k in (keys[0], keys[2]):
+            assert cat.get(k) is not None
 
 
 def test_corrupt_json_quarantined(cat):
@@ -162,20 +177,19 @@ def test_refuses_bad_certificate(cat):
         cat.put(bad)
 
 
-def test_entry_is_bound_to_its_family_and_n(cat):
+def test_entry_is_bound_to_its_family_and_n(tmp_path):
     # a payload whose family was swapped no longer answers its key: the
     # old witness is still I5-free in dimension 4, so only the key check
-    # can catch it
+    # can catch it; nor does one whose n was changed
     tri = Family.from_matroids([pg(2)])
-    key = cat.put(_cert(4))
-    path = cat.root / key[:2] / key[2:4] / f"{key}.json"
-    d = json.loads(path.read_text())
-    d["payload"]["family"] = [to_compact(free(5))]
-    path.write_text(json.dumps(d))
-    assert cat.lookup(tri, 4) is None
-    assert (cat.root / "quarantine" / f"{key}.json").is_file()
-    reason = (cat.root / "quarantine" / f"{key}.reason").read_text()
-    assert "family and n" in reason
+    for field, stored in (("family", [to_compact(free(5))]), ("n", 5)):
+        cat = Catalog(tmp_path / field)
+        key = cat.put(_cert(4))
+        _rewrite(cat, key, field, stored)
+        assert cat.lookup(tri, 4) is None
+        assert (cat.root / "quarantine" / f"{key}.json").is_file()
+        reason = (cat.root / "quarantine" / f"{key}.reason").read_text()
+        assert "family and n" in reason
 
 
 def test_uncertified_entries_are_refused(cat):
@@ -186,14 +200,27 @@ def test_uncertified_entries_are_refused(cat):
     with pytest.raises(UsageError):
         cat.put(uncertified)
     assert cat.lookup(fam, 4) is None
-    # nor is one served when the stored flag reads false
-    key = cat.put(cert)
-    path = cat.root / key[:2] / key[2:4] / f"{key}.json"
-    d = json.loads(path.read_text())
-    d["payload"]["certified"] = False
-    path.write_text(json.dumps(d))
-    assert cat.lookup(fam, 4) is None
-    assert (cat.root / "quarantine" / f"{key}.json").is_file()
+    # nor is one served when the stored flag reads false, or is no JSON
+    # boolean at all; nor when a count or the method has the wrong JSON
+    # type, though coerced (as value = 8, n = 4) it would pass the
+    # witness and key checks
+    assert cert.value == 8
+    unreadable = "unreadable entry"
+    for field, stored, reason in (
+            ("certified", False, "not certified"),
+            ("certified", "false", unreadable),
+            ("certified", 0, unreadable),
+            ("certified", None, unreadable),
+            ("value", 8.7, unreadable), ("value", "8", unreadable),
+            ("n", "4", unreadable), ("n", 4.0, unreadable),
+            ("nodes", "0", unreadable), ("elapsed_ms", 1.5, unreadable),
+            ("method", 1, unreadable)):
+        key = cat.put(cert)
+        _rewrite(cat, key, field, stored)
+        assert cat.lookup(fam, 4) is None, (field, stored)
+        assert (cat.root / "quarantine" / f"{key}.json").is_file()
+        assert reason in (cat.root / "quarantine" / f"{key}.reason"
+                          ).read_text()
 
 
 def test_lookup_hits_another_declaration(cat):

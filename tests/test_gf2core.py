@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bmx.gf2core import (
     bitset_of,
-    enumerate_subspaces,
+    flats,
     parity_masks,
     points_of,
     rank_ints,
@@ -36,7 +36,7 @@ def test_rank_matches_rref(vs):
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(5) for k in range(n + 1)])
 def test_subspace_enumeration_count(n, k):
-    subs = list(enumerate_subspaces(n, k))
+    subs = [functionals for functionals, _outside in flats(n, k)]
     assert len(subs) == gaussian_binomial(n, k)
     # each basis spans a distinct subspace, and every subspace is met
     assert all(len(w) == rank(w) == k for w in subs)
@@ -55,10 +55,11 @@ def test_codim_enumeration(n, c):
     # subspaces, each once; the points outside are the OR of parity masks
     masks = parity_masks(n)
     kernels = set()
-    for dual in enumerate_subspaces(n, c):
+    for dual, seen in flats(n, c):
         outside = 0
         for a in dual:
             outside |= masks[a]
+        assert seen == outside
         kernel = frozenset(p for p in range(1, 1 << n)
                            if not outside >> (p - 1) & 1)
         assert all((a & p).bit_count() % 2 == 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bmx import kernels
 from bmx.errors import CapacityError, FormatError, UsageError
-from bmx.gf2core import enumerate_subspaces, parity_masks
+from bmx.gf2core import flats, parity_masks
 from bmx.graphs import SimpleGraph
 from bmx.matroid import (
     LiftSpec,
@@ -129,7 +129,7 @@ def test_delete_and_flat_slice():
         delete(tri, {3, 4})
     # the slice of the Fano plane by a hyperplane, as the decomposition
     # family takes it, is the line of points the hyperplane contains
-    for (a,) in enumerate_subspaces(3, 1):
+    for (a,), _outside in flats(3, 1):
         line = Matroid.from_mask(3, pg(3).mask & ~parity_masks(3)[a])
         assert line.size == 3 and line.dim == 3
         assert line.points == {p for p in range(1, 8)
