@@ -325,15 +325,18 @@ def ex_search(family: Family, n: int,
     Symmetry.  The copy set is invariant under GL(n,2): a copy is the
     image of a member under an injective linear map, and composing with
     an invertible map gives another one.  So the image of a free set is
-    free, of the same size, and a free set larger than the incumbent may
-    be replaced by any of its images.  GL(n,2) is 2-transitive on the
-    nonzero vectors, so such a set may be assumed to contain e1 and then
-    e2 (it has at least one, then two points).  The pointwise stabiliser
-    of e1 and e2 has two orbits on the remaining points: {e1+e2} and the
-    points outside span(e1, e2).  So the root and the next node have one
-    child each (protect e1, then e2), and the third branching has two:
-    protect e1+e2, or exclude e1+e2 and protect e3.  Below that the
-    search is the plain one above.  Protecting a point turns the copies
+    free, of the same size.  One rule uses this at every node that is
+    about to branch.  Let j be the number of coordinates of the highest
+    decided (kept or excluded) point, so that every decided point lies in
+    span(e1..ej).  If j < n and 2^j - 1 - |excluded| <= best, the node has
+    one child, which also protects e_{j+1}.  A set of the node larger
+    than ``best`` cannot fit inside the span, which holds only
+    2^j - 1 - |excluded| allowed points, so it has a point outside.  The
+    pointwise stabiliser of span(e1..ej) fixes every decided point and
+    is transitive on the points outside the span, so it moves that point
+    to e_{j+1} and the set to a set of the same node, free and of the
+    same size.  At the root this protects e1, then e2, then e3 once
+    ``best`` >= 3, and so on.  Protecting a point turns the copies
     through it into smaller ones, which is what makes the packing bound
     bite: with e1 protected, the triangles through e1 pair up the other
     points, so ex({PG(1,2)}, n) is certified at the second node.
@@ -349,7 +352,7 @@ def ex_search(family: Family, n: int,
     each stack entry carries the flats still charging at least 2 and a
     node rescans only those.  With e1, e2 protected, the planes through
     that line split the other points, which is what certifies
-    ex({M(K4)}, 5) = 17 in 908 nodes instead of 18,160.  A stronger
+    ex({M(K4)}, 5) = 17 in 394 nodes instead of 1,831.  A stronger
     valid bound prunes only subtrees holding no set larger than the
     incumbent, so incumbents, value and witness are unchanged by it.
 
@@ -360,10 +363,9 @@ def ex_search(family: Family, n: int,
     span(e_{k+1}..e_n), when that beats the greedy set.  It is free with
     no containment test: it misses a codimension-k subspace, so each of
     its restrictions has critical number at most k, below every
-    member's.  It also holds e1..ek, the points the symmetry protects.
-    While the incumbent is at most |BB(n, k)|, a recursive solve of
-    ex(family, n - 1) under what is left of the time limit gives a
-    bound, if it is certified.  A free set S meets each hyperplane in a
+    member's.  While the incumbent is at most |BB(n, k)|, a recursive
+    solve of ex(family, n - 1) under what is left of the time limit gives
+    a bound, if it is certified.  A free set S meets each hyperplane in a
     free set of a PG(n-2,2), and each point lies in 2^(n-1) - 1 of the
     2^n - 1 hyperplanes, so (2^(n-1) - 1)|S| <= (2^n - 1) ex(family, n-1).
     An incumbent at the bound is certified at once, with 0 nodes and no
@@ -473,22 +475,13 @@ def ex_search(family: Family, n: int,
         if size - _packing(inc, copies, und, alive, pairs, allowed, hot,
                            size - best) <= best:
             continue
-        if allowed == all_mask and kept in (0, 1, 3) \
-                and best >= kept.bit_count():
-            # Only reached on the first three branchings, and valid only
-            # because the copy set is GL(n,2)-invariant (see the
-            # docstring): nothing is excluded, e1 (bit 0) and e2 (bit 1)
-            # may be protected, and a set better than ``best`` has more
-            # points than are protected, so the stabiliser of the
-            # protected points can move one of its other points to e1,
-            # e2, or e1+e2 (bit 2) or e3 (bit 3; n = 2 has no e3).
-            if kept != 3:
-                stack.append((allowed, kept << 1 | 1, alive, hot))
-            else:
-                if total > 3:
-                    stack.append((allowed ^ 4, kept | 8, alive & ~inc[2],
-                                  hot))
-                stack.append((allowed, kept | 4, alive, hot))
+        # the symmetry rule (see the docstring): every decided point lies
+        # in span(e1..ej); when the total - size excluded points leave it
+        # no room for a set larger than best, protect e_{j+1}, the point
+        # 2^j at bit 2^j - 1
+        j = (kept | all_mask ^ allowed).bit_length().bit_length()
+        if j < n and (1 << j) - 1 - (total - size) <= best:
+            stack.append((allowed, kept | 1 << (1 << j) - 1, alive, hot))
             continue
         sel = pairs or alive
         branch = copies[(sel & -sel).bit_length() - 1] & und

@@ -6,6 +6,7 @@ import random
 import time
 from dataclasses import replace
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -74,16 +75,20 @@ def octahedron_matroid() -> Matroid:
 
 
 def naive_ex(family: Family, n: int) -> int:
-    """Exhaustive maximum over all subsets of F_2^n \\ {0}."""
-    total = (1 << n) - 1
-    best = 0
-    for mask in range(1 << total):
-        if mask.bit_count() <= best:
-            continue
-        m = Matroid.from_mask(n, mask)
-        if all(not contains(m, f) for f in family.members):
-            best = m.size
-    return best
+    """Exhaustive maximum over all subsets of F_2^n \\ {0}: the largest
+    set that holds none of the copies from ``conftest.naive_copies``.
+    The sets that hold a copy are the up-closure of the copies, built as
+    one bitset over all 2^(2^n - 1) sets (bit s for set s), adding one
+    point at a time."""
+    sets = 1 << (1 << n) - 1
+    holding = sum(1 << c for c in naive_copies(n, family.members))
+    for i in range((1 << n) - 1):
+        step = 1 << i
+        # the sets without point i + 1: runs of ``step`` bits every 2 step
+        without = int(("0" * step + "1" * step) * (sets // (2 * step)), 2)
+        holding |= (holding & without) << step
+    bits = f"{holding:0{sets}b}"[::-1]
+    return max(s.bit_count() for s, b in enumerate(bits) if b == "0")
 
 
 # --- Family -----------------------------------------------------------------
@@ -291,12 +296,23 @@ def test_family_dedups_by_span(monkeypatch):
     assert len(calls) == 1
 
 
-def test_ex_deadline_holds_over_the_sort():
-    # enumerating the 546,840 copies of {I4} at n = 6 takes about 0.75 s
-    # and sorting them about 0.5 s; a 1 s limit must still end the call
+def test_ex_deadline_holds_over_the_sort(monkeypatch):
+    # the whole solve of {I4} at n = 6 (546,840 copies) can finish inside
+    # 1 s, so the clock of ``extremal`` is made to jump: its first reading
+    # (the start) is true and every later one is past the deadline.
+    # ``kernels`` keeps its own clock, so only the check after the sort
+    # can end the call
+    readings = []
+
+    def jumping():
+        readings.append(time.monotonic() + (100 if readings else 0))
+        return readings[-1]
+
+    monkeypatch.setattr(extremal, "time", SimpleNamespace(monotonic=jumping))
     with time_budget(3):
         cert = ex_search(Family.from_matroids([free(4)]), 6, time_limit=1)
     assert not cert.certified
+    assert (cert.value, cert.nodes) == (0, 0)  # stopped while indexing
 
 
 # the five cells of the ``search`` benchmark: (members, n, value, witness,
@@ -321,6 +337,62 @@ def test_search_cells_keep_their_witnesses(cell):
     assert cert.certified and cert.method == "branch-bound"
     assert (cert.value, to_compact(cert.witness)) == (value, witness)
     assert cert.nodes <= most
+
+
+def test_ex_matches_brute_force_on_random_families():
+    # the symmetry rule protects e_{j+1} only when span(e1..ej) cannot
+    # hold a better set.  Members with a coloop (a point outside the span
+    # of the others) are where that size test can matter: without coloops
+    # a free set inside the span extends by e_{j+1}.  So half the members
+    # are a random set plus a point outside its span.  At n = 4 no family
+    # tried needs the size test, since the greedy incumbent fills
+    # span(e1..ej) first; the next test is a cell at n = 5 that does
+    rng = random.Random(20)
+    for _ in range(40):
+        members = []
+        for _ in range(rng.randint(1, 2)):
+            k = rng.randint(2, 3)
+            pts = set(rng.sample(range(1, 1 << k),
+                                 rng.randint(2, (1 << k) - 1)))
+            if rng.random() < 0.5:
+                pts.add(1 << k)
+            members.append(Matroid(k + 1, frozenset(pts)))
+        fam = Family.from_matroids(members)
+        cert = ex_search(fam, 4)
+        assert cert.certified and cert.value == naive_ex(fam, 4)
+        assert all(not contains(cert.witness, m) for m in members)
+
+
+def test_ex_keeps_an_optimum_that_lies_in_a_hyperplane():
+    # a triangle plus a coloop, and C4 plus two coloops.  A set of rank 5
+    # holding a triangle holds the first, and one holding a C4 the second,
+    # so a spanning free set is {C3, C4}-free: at most ex({C3, C4}, 5) = 6
+    # points.  Inside a hyperplane only the first member fits, which
+    # leaves the 8 points of AG(3,2).  The greedy set is a line, 3 points,
+    # so the search must find the optimum inside span(e1..e4), and a rule
+    # that protected e5 without its size test would answer 6
+    tri_plus = Matroid(3, frozenset({1, 2, 3, 4}))
+    c4_plus = Matroid(5, frozenset({1, 2, 4, 7, 8, 16}))
+    cert = ex_search(Family.from_matroids([tri_plus, c4_plus]), 5)
+    assert cert.certified
+    assert cert.value == naive_ex(Family.from_matroids([tri_plus]), 4) == 8
+    assert cert.witness.rank == 4
+    assert not any(contains(cert.witness, m) for m in (tri_plus, c4_plus))
+
+
+def test_ex_certifies_the_sidon_cells():
+    # a C4-free set is a Sidon set; the values at n = 6 are 9 and 8, and
+    # translating by a point shows ex({C4}, n) = ex({C3, C4}, n) + 1
+    values = {}
+    with time_budget(10):
+        for members in ([circuit(4)], [pg(2), circuit(4)]):
+            for n in (5, 6):
+                cert = ex_search(Family.from_matroids(members), n)
+                assert cert.certified and cert.witness.size == cert.value
+                assert all(not contains(cert.witness, m) for m in members)
+                values[len(members), n] = cert.value
+    assert (values[1, 6], values[2, 6]) == (9, 8)
+    assert all(values[1, n] == values[2, n] + 1 for n in (5, 6))
 
 
 @pytest.mark.parametrize("members, value", [
@@ -381,7 +453,7 @@ def test_ex_skips_an_uncertified_flat_cap(monkeypatch):
     monkeypatch.setattr(extremal, "_flats", watched)
     cert = real(Family.from_matroids([complete_graphic(4)]), 5)
     assert flats[5] == []
-    assert cert.certified and cert.value == 17 and cert.nodes == 18160
+    assert cert.certified and cert.value == 17 and cert.nodes == 1831
 
 
 @pytest.mark.parametrize("member", [free(13), pg(13)], ids=["I13", "PG13"])
@@ -405,7 +477,7 @@ def test_ex_root_bound_certifies_bose_burton(member, value):
 
 
 @pytest.mark.parametrize("member, nodes", [
-    (complete_graphic(4), 908), (circuit(4), 6226)], ids=["M(K4)", "C4"])
+    (complete_graphic(4), 394), (circuit(4), 68)], ids=["M(K4)", "C4"])
 def test_ex_solves_no_hyperplane_cap_when_the_bound_cannot_close(
         monkeypatch, member, nodes):
     # M(K4): the greedy 17 beats BB(5, 1); C4: k = 0, no Bose-Burton seed
