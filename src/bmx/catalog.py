@@ -5,8 +5,8 @@ goes through a temp file of its own, an fsync and an atomic rename, so
 concurrent readers and writers never see a partial entry.  Entries are
 re-verified on every read: a payload that fails verification, or whose
 key recomputed from its family and n is not its filename, is quarantined
-with a diagnostic, never served.  Keys are computed over the members'
-spans (``span_key``), and a lookup hit answers with the asked members.
+with a diagnostic, never served.  Keys hash the members' canonical keys,
+computed over their spans, and a lookup hit answers with the asked ones.
 """
 
 from __future__ import annotations
@@ -23,15 +23,15 @@ from bmx import __version__
 from bmx.errors import UsageError
 from bmx.extremal import Family, TuranCertificate
 from bmx.matroid import Matroid
-from bmx.morphism import contains, span_key
+from bmx.morphism import canonical_key, contains
 
 KIND = "turan"  # the one query kind; part of every key and entry file
 
 
 def entry_key(members: tuple[Matroid, ...], n: int) -> str:
-    """Hash of (sorted ``span_key``s of the members, n, query kind), so
-    the dimension a member is declared in plays no part."""
-    keys = sorted(f"{k.dim}:{k.bits}" for k in map(span_key, members))
+    """Hash of (sorted ``canonical_key``s of the members, n, query kind),
+    so the dimension a member is declared in plays no part."""
+    keys = sorted(f"{k.rank}:{k.bits}" for k in map(canonical_key, members))
     blob = json.dumps({"kind": KIND, "n": n, "family": keys}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -157,7 +157,7 @@ def _cmd_iso(args) -> int:
 def _cmd_canon(args) -> int:
     m = _read_matroid(args.file)
     key = canonical_key(m)
-    _emit(args, None, {"kind": "canon", "dim": key.dim, "key": key.bits})
+    _emit(args, None, {"kind": "canon", "dim": m.dim, "key": key.bits})
     return EXIT_OK
 
 

@@ -27,8 +27,8 @@ from bmx.morphism import (
     CanonicalKey,
     _copy_count,
     _schedule_cached,
+    canonical_key,
     contains,
-    span_key,
 )
 
 NEAREST_MAX_DIM = 10
@@ -53,9 +53,9 @@ class Family:
     @staticmethod
     def from_matroids(matroids) -> "Family":
         """One member per isomorphism class, the first declaration of each
-        as given, sorted by rank, size and ``span_key``.
+        as given, sorted by rank, size and ``canonical_key``.
 
-        Two matroids are compared by ``span_key``, so the same points
+        Two matroids are compared by ``canonical_key``, so the same points
         declared in two dimensions are one member.
         """
         matroids = list(matroids)
@@ -63,9 +63,9 @@ class Family:
             return Family((matroids[0],))
         seen: dict[CanonicalKey, Matroid] = {}
         for m in matroids:
-            seen.setdefault(span_key(m), m)
+            seen.setdefault(canonical_key(m), m)
         ordered = sorted(
-            seen.items(), key=lambda kv: (kv[0].dim, kv[1].size, kv[0].bits)
+            seen.items(), key=lambda kv: (kv[0].rank, kv[1].size, kv[0].bits)
         )
         return Family(tuple(m for _k, m in ordered))
 
@@ -526,7 +526,7 @@ def _slices(family: Family) -> Iterator[Matroid]:
 
 def decomposition_family(family: Family) -> Family:
     """The decomposition family: the restriction-minimal slices of the
-    members (``_slices``), deduplicated by ``span_key``, in canonical
+    members (``_slices``), deduplicated by ``canonical_key``, in canonical
     coordinates.  ``critical_edge_check`` and ``corollary_tier`` read
     their answers off the same slices.
     """
@@ -534,7 +534,7 @@ def decomposition_family(family: Family) -> Family:
         return family
     classes: dict[CanonicalKey, Matroid] = {}
     for piece in _slices(family):
-        key = span_key(piece)
+        key = canonical_key(piece)
         classes.setdefault(key, key.matroid())
     reps = sorted(classes.values(), key=lambda m: (m.dim, m.size, m.mask))
     minimal = []

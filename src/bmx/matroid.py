@@ -7,9 +7,9 @@ vector encoding); ``mask`` gives the characteristic bitset over indices
 
 Containment, restriction counts and ex depend only on a pattern's rank,
 not on its declared dimension.  The critical number ``chi`` is computed
-on a matroid's span (``recoordinatize``), and so are a forbidden
-family's critical elements, decomposition family and catalog key;
-canonical keys and ``isomorphic`` still compare the declared dimension.
+on a matroid's span (``recoordinatize``), and so are canonical keys, a
+forbidden family's critical elements, decomposition family and catalog
+key; only ``isomorphic`` also compares the declared dimension.
 """
 
 from __future__ import annotations

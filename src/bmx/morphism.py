@@ -8,9 +8,9 @@ immediately for early pruning, and each point carries the basic orbits of
 Aut(N) it lies in, so that every copy of N is found once.  A schedule is
 a function of N's point set alone, and is cached by it: the dimension N
 is declared in plays no part in containment or in copy counting, nor in
-``span_key``, the canonical key of N over its span, by which a family
-dedups its members, the catalog keys its entries and the decomposition
-family keys its slices.
+``canonical_key``, the one key of N, computed over its span, by which a
+family dedups its members, the catalog keys its entries, the
+decomposition family keys its slices and ``isomorphic`` compares.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ CANON_MAX_DIM = 8
 
 @dataclass(frozen=True)
 class CanonicalKey:
-    """Lexicographically minimal characteristic bitstring over GL(n,2)."""
+    """Minimal characteristic bitstring of a set's span over GL(rank, 2)."""
 
-    dim: int
+    rank: int
     bits: str
 
     def matroid(self) -> Matroid:
@@ -39,7 +39,7 @@ class CanonicalKey:
         for i, ch in enumerate(self.bits):
             if ch == "1":
                 mask |= 1 << i
-        return Matroid.from_mask(self.dim, mask)
+        return Matroid.from_mask(self.rank, mask)
 
 
 @dataclass(frozen=True)
@@ -193,23 +193,20 @@ def contains(host: Matroid, pattern: Matroid) -> bool:
 
 
 def canonical_key(m: Matroid) -> CanonicalKey:
-    """Orbit-minimal characteristic bitstring of m under GL(dim, 2)."""
-    if m.dim > CANON_MAX_DIM:
-        raise CapacityError(f"canonizer limited to dim <= {CANON_MAX_DIM}")
-    mask = kernels.canon_mask(m.dim, m.mask) if m.dim else 0
-    total = (1 << m.dim) - 1
+    """The key of m over its span (``recoordinatize``): its orbit-minimal
+    characteristic bitstring under GL(rank, 2), whatever m's dimension."""
+    if m.rank > CANON_MAX_DIM:
+        raise CapacityError(f"canonizer limited to rank <= {CANON_MAX_DIM}")
+    s = recoordinatize(m)
+    mask = kernels.canon_mask(s.dim, s.mask)
+    total = (1 << s.dim) - 1
     bits = "".join("1" if (mask >> i) & 1 else "0" for i in range(total))
-    return CanonicalKey(m.dim, bits)
-
-
-def span_key(m: Matroid) -> CanonicalKey:
-    """The canonical key of m over its span: the one identity of a
-    forbidden member, whatever dimension it is declared in."""
-    return canonical_key(recoordinatize(m))
+    return CanonicalKey(s.dim, bits)
 
 
 def isomorphic(a: Matroid, b: Matroid) -> bool:
-    """True iff equal dimension and equal canonical keys."""
+    """True iff equal dimension and equal keys: in one dimension, two sets
+    are equivalent exactly when their spans are."""
     if a.dim != b.dim:
         return False
     if a.size != b.size or a.rank != b.rank:

@@ -190,9 +190,14 @@ def test_criterion_08_oracle_equivalences(capfd):
                 # canonical keys induce exactly the isomorphism classes
                 assert (keys[i] == keys[j]) == want_iso
         rng = random.Random(20260823)
-        for _ in range(500):
-            a = random_matroid(rng, 4, rng.uniform(0.2, 0.7))
-            b = random_matroid(rng, 4, rng.uniform(0.2, 0.7))
+        pairs = [(random_matroid(rng, 4, rng.uniform(0.2, 0.7)),
+                  random_matroid(rng, 4, rng.uniform(0.2, 0.7)))
+                 for _ in range(500)]
+        # 1-3 points that do not span F_2^4, keyed over their spans
+        pairs += [tuple(Matroid(4, frozenset(rng.sample(range(1, 16), k)))
+                        for k in (rng.randint(1, 3), rng.randint(1, 3)))
+                  for _ in range(100)]
+        for a, b in pairs:
             assert chi(a) == naive_chi(a)
             assert contains(a, b) == naive_contains(a, b)
             assert contains(b, a) == naive_contains(b, a)

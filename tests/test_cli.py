@@ -147,6 +147,29 @@ def test_canon_and_count(capsys, tri_file, fano_file):
     assert code == 0 and out.strip() == "7"
 
 
+def test_canon_and_iso_of_a_set_that_does_not_span(capsys, tmp_path):
+    # keys are computed over the span, so a triangle declared in
+    # dimension 12 is keyed in dimension 2 and still reports dim 12; only
+    # a rank above 8 is refused
+    def write(name, pts):
+        p = tmp_path / f"{name}.bm1"
+        p.write_text(to_bm1(Matroid(12, frozenset(pts))))
+        return str(p)
+
+    tri = write("tri", {1 << 11, 1 << 10, 3 << 10})
+    code, out = invoke(capsys, "canon", tri)
+    assert code == 0 and out == "dim 12\nkey 111\n"
+    code, out = invoke(capsys, "canon", tri, "--format", "json")
+    assert code == 0 and json.loads(out)["dim"] == 12
+    assert invoke(capsys, "iso", tri, write("line", {1, 2, 3})) == (0, "true\n")
+    assert invoke(capsys, "iso", tri, write("free", {1, 2, 4})) == (1, "false\n")
+    low, high = write("low9", {1 << i for i in range(9)}), \
+        write("high9", {1 << i for i in range(3, 12)})
+    assert run(["canon", low]) == 3
+    assert run(["iso", low, high]) == 3
+    assert "canonizer limited to rank <= 8" in capsys.readouterr().err
+
+
 def test_compact_and_stdin(capsys, monkeypatch, tmp_path):
     p = tmp_path / "c.txt"
     p.write_text(to_compact(pg(2)) + "\n")

@@ -175,15 +175,14 @@ def test_canon_mask_is_the_brute_force_lexmin():
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_sparse_and_cosparse_canonical_forms(n):
-    # any one point, or any two, can be sent to the last positions, and
-    # the missing points of a complement to the first ones
+    # a k-point independent set is keyed over its span, as free(k); the
+    # missing points of a complement go to the first positions
     total = (1 << n) - 1
     rng = random.Random(n)
     with time_budget(10):
-        for k, last in ((1, {total}), (2, {total - 1, total})):
+        for k in (1, 2):
             pts = frozenset(rng.sample(range(1, total + 1), k))
-            key = canonical_key(Matroid(n, pts))
-            assert key.matroid().points == last
+            assert canonical_key(Matroid(n, pts)) == canonical_key(free(k))
             rest = frozenset(range(1, total + 1))
             key = canonical_key(Matroid(n, rest - pts))
             assert key.matroid().points == rest - set(range(1, k + 1))
@@ -193,7 +192,23 @@ def test_two_point_dim6_key_is_pinned():
     with time_budget(10):
         m = from_compact("bm:6:0080000008000000")
         assert m.points == {16, 36}
-        assert canonical_key(m).bits == "0" * 61 + "11"
+        assert canonical_key(m) == morphism.CanonicalKey(2, "011")
+
+
+def test_sparse_dim7_keys_come_from_the_span():
+    # six random points of dimension 7 have rank 6: each is keyed as I6,
+    # in dimension 6
+    sets = [Matroid(7, frozenset(random.Random(s).sample(range(1, 128), 6)))
+            for s in range(3)]
+    with time_budget(5):
+        keys = [canonical_key(m) for m in sets]
+    assert set(keys) == {canonical_key(free(6))}
+    rng = random.Random(7)
+    for m, key in zip(sets, keys):
+        table = random_gl(rng, 7)
+        image = Matroid(7, frozenset(table[p] for p in m.points))
+        assert canonical_key(image) == key
+        assert isomorphic(m, image)
 
 
 def test_sparse_dim6_images_share_a_key():
@@ -224,8 +239,10 @@ def test_cosparse_dim5_images_share_a_key():
 
 
 def test_canonical_key_capacity():
-    with pytest.raises(CapacityError):
-        canonical_key(Matroid(9, frozenset({1})))
+    # the limit is on the rank, not on the declared dimension
+    with pytest.raises(CapacityError, match="rank <= 8"):
+        canonical_key(free(9))
+    assert canonical_key(Matroid(9, frozenset({1}))) == canonical_key(free(1))
 
 
 def test_count_restrictions():
