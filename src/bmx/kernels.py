@@ -99,10 +99,11 @@ def canon_mask(n: int, pmask: int) -> int:
     equal strings.  So a tied candidate is skipped when it lies in the
     orbit of an explored sibling, with orbits from two sources:
 
-    - (a) Let M' be the smaller of M and its complement and T the span of
-      the prefix and M'.  Every invertible map that fixes T pointwise
-      keeps M' and so M, and such maps carry any vector outside T to any
-      other; one candidate outside T stands for all of them.
+    - (a) Let M' be the complement of M and T the span of the prefix and
+      M'.  Every invertible map that fixes T pointwise keeps M' and so M,
+      and such maps carry any vector outside T to any other; one
+      candidate outside T stands for all of them.  (M itself spans,
+      since keys are taken over the span.)
     - (b) Two leaves h*, h' with equal strings give the automorphism
       g = h' h*^-1 of M (McKay & Piperno, "Practical graph isomorphism
       II", 2014).  The reference leaf h* is the first leaf since ``best``
@@ -121,10 +122,10 @@ def canon_mask(n: int, pmask: int) -> int:
     lows = _lows(n)
     pm = pmask << 1
     tr = [_translate(pm, a, lows) for a in range(size)]
-    small = pm if 2 * pmask.bit_count() <= total else (full << 1) ^ pm
+    comp = (full << 1) ^ pm
     t0 = 1  # span(M')
     for p in range(1, size):
-        if small >> p & 1:
+        if comp >> p & 1:
             t0 |= _translate(t0, p, lows)
     img = [0] * size
     best = [-1] * (n + 1)

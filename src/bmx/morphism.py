@@ -195,9 +195,9 @@ def contains(host: Matroid, pattern: Matroid) -> bool:
 def canonical_key(m: Matroid) -> CanonicalKey:
     """The key of m over its span (``recoordinatize``): its orbit-minimal
     characteristic bitstring under GL(rank, 2), whatever m's dimension."""
-    if m.rank > CANON_MAX_DIM:
-        raise CapacityError(f"canonizer limited to rank <= {CANON_MAX_DIM}")
     s = recoordinatize(m)
+    if s.dim > CANON_MAX_DIM:
+        raise CapacityError(f"canonizer limited to rank <= {CANON_MAX_DIM}")
     mask = kernels.canon_mask(s.dim, s.mask)
     total = (1 << s.dim) - 1
     bits = "".join("1" if (mask >> i) & 1 else "0" for i in range(total))

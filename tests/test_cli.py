@@ -163,6 +163,12 @@ def test_canon_and_iso_of_a_set_that_does_not_span(capsys, tmp_path):
     assert code == 0 and json.loads(out)["dim"] == 12
     assert invoke(capsys, "iso", tri, write("line", {1, 2, 3})) == (0, "true\n")
     assert invoke(capsys, "iso", tri, write("free", {1, 2, 4})) == (1, "false\n")
+    # the empty set spans the zero space: its key is the empty string
+    empty = write("empty", set())
+    assert invoke(capsys, "canon", empty) == (0, "dim 12\nkey \n")
+    code, out = invoke(capsys, "canon", empty, "--format", "json")
+    assert code == 0 and json.loads(out)["key"] == ""
+    assert invoke(capsys, "iso", empty, tri) == (1, "false\n")
     low, high = write("low9", {1 << i for i in range(9)}), \
         write("high9", {1 << i for i in range(3, 12)})
     assert run(["canon", low]) == 3
