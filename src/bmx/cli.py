@@ -275,8 +275,7 @@ def _add_graph_format(p) -> None:
                    default="auto")
 
 
-def _register_construct(sub) -> None:
-    c = sub.add_parser("construct", help="emit a standard matroid as BM1")
+def _add_construct(c) -> None:
     cs = c.add_subparsers(dest="what", required=True)
     for name in ("pg", "ag", "free"):
         p = cs.add_parser(name)
@@ -301,31 +300,27 @@ def _register_construct(sub) -> None:
     c.set_defaults(func=_cmd_construct)
 
 
-def _register_stat(sub) -> None:
-    p = sub.add_parser("stat", help="dim, size, rank, chi of a matroid")
+def _add_stat(p) -> None:
     p.add_argument("file")
     _add_format(p)
     p.set_defaults(func=_cmd_stat)
 
 
-def _register_contains(sub) -> None:
-    p = sub.add_parser("contains", help="host has a pattern-restriction?")
+def _add_contains(p) -> None:
     p.add_argument("host")
     p.add_argument("pattern")
     _add_format(p)
     p.set_defaults(func=_cmd_contains)
 
 
-def _register_iso(sub) -> None:
-    p = sub.add_parser("iso", help="are two matroids isomorphic?")
+def _add_iso(p) -> None:
     p.add_argument("a")
     p.add_argument("b")
     _add_format(p)
     p.set_defaults(func=_cmd_iso)
 
 
-def _register_canon(sub) -> None:
-    p = sub.add_parser("canon", help="canonical key of a matroid")
+def _add_canon(p) -> None:
     p.add_argument("file")
     _add_format(p)
     p.set_defaults(func=_cmd_canon)
@@ -340,24 +335,20 @@ def _time_limit(text: str) -> float:
     return value
 
 
-def _register_count(sub) -> None:
-    p = sub.add_parser("count-restrictions",
-                       help="number of distinct pattern-restrictions")
+def _add_count(p) -> None:
     p.add_argument("host")
     p.add_argument("pattern")
     _add_format(p)
     p.set_defaults(func=_cmd_count)
 
 
-def _register_decompose(sub) -> None:
-    p = sub.add_parser("decompose", help="decomposition family as BM1 blocks")
+def _add_decompose(p) -> None:
     p.add_argument("files", nargs="+")
     _add_format(p)
     p.set_defaults(func=_cmd_decompose)
 
 
-def _register_ex(sub) -> None:
-    p = sub.add_parser("ex", help="exact Turan number with certificate")
+def _add_ex(p) -> None:
     p.add_argument("files", nargs="+")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--time-limit", type=_time_limit, default=None)
@@ -366,16 +357,14 @@ def _register_ex(sub) -> None:
     p.set_defaults(func=_cmd_ex)
 
 
-def _register_nearest_bb(sub) -> None:
-    p = sub.add_parser("nearest-bb", help="nearest Bose-Burton geometry")
+def _add_nearest_bb(p) -> None:
     p.add_argument("file")
     p.add_argument("--k", type=int, required=True)
     _add_format(p)
     p.set_defaults(func=_cmd_nearest_bb)
 
 
-def _register_graph(sub) -> None:
-    p = sub.add_parser("graph", help="graph computations")
+def _add_graph(p) -> None:
     gs = p.add_subparsers(dest="what", required=True)
     for name in ("chi", "forest", "cubic"):
         gp = gs.add_parser(name)
@@ -387,8 +376,7 @@ def _register_graph(sub) -> None:
     p.set_defaults(func=_cmd_graph)
 
 
-def _register_verify(sub) -> None:
-    p = sub.add_parser("verify", help="run a verification suite")
+def _add_verify(p) -> None:
     p.add_argument("suite", choices=verify_mod.SUITES)
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--time-limit", type=_time_limit, default=None)
@@ -396,8 +384,7 @@ def _register_verify(sub) -> None:
     p.set_defaults(func=_cmd_verify)
 
 
-def _register_cache(sub) -> None:
-    p = sub.add_parser("cache", help="catalog maintenance")
+def _add_cache(p) -> None:
     cs2 = p.add_subparsers(dest="what", required=True)
     vp = cs2.add_parser("verify")
     vp.add_argument("--cache-dir", required=True)
@@ -405,51 +392,59 @@ def _register_cache(sub) -> None:
     p.set_defaults(func=_cmd_cache)
 
 
-# top-level command -> the function that adds its subparser, in help order
+# top-level command -> (its help line, the function that adds its
+# arguments and ``func`` default to a parser), in help order
 COMMANDS = {
-    "construct": _register_construct,
-    "stat": _register_stat,
-    "contains": _register_contains,
-    "iso": _register_iso,
-    "canon": _register_canon,
-    "count-restrictions": _register_count,
-    "decompose": _register_decompose,
-    "ex": _register_ex,
-    "nearest-bb": _register_nearest_bb,
-    "graph": _register_graph,
-    "verify": _register_verify,
-    "cache": _register_cache,
+    "construct": ("emit a standard matroid as BM1", _add_construct),
+    "stat": ("dim, size, rank, chi of a matroid", _add_stat),
+    "contains": ("host has a pattern-restriction?", _add_contains),
+    "iso": ("are two matroids isomorphic?", _add_iso),
+    "canon": ("canonical key of a matroid", _add_canon),
+    "count-restrictions": ("number of distinct pattern-restrictions",
+                           _add_count),
+    "decompose": ("decomposition family as BM1 blocks", _add_decompose),
+    "ex": ("exact Turan number with certificate", _add_ex),
+    "nearest-bb": ("nearest Bose-Burton geometry", _add_nearest_bb),
+    "graph": ("graph computations", _add_graph),
+    "verify": ("run a verification suite", _add_verify),
+    "cache": ("catalog maintenance", _add_cache),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The bmx parser with every command, or with only ``command``'s
-    subparser, which is all that parsing a call to that command needs.
-    The usage line names every command either way."""
+def build_parser() -> argparse.ArgumentParser:
+    """The bmx parser with every command."""
     ap = argparse.ArgumentParser(
         prog="bmx",
         description="Exact computation with simple binary matroids over GF(2).",
     )
     ap.add_argument("--version", action="version", version=__version__)
-    # a pruned tree names every command in its usage line by hand; the
-    # full one leaves that to argparse, which then calls a missing
-    # command "command" in its error
-    names = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = ap.add_subparsers(dest="command", required=True, metavar=names)
-    for name, register in COMMANDS.items():
-        if command in (None, name):
-            register(sub)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_text, add) in COMMANDS.items():
+        add(sub.add_parser(name, help=help_text))
     return ap
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as the full tree does, building for a named command
+    only that command's parser, which is the one the full tree hands its
+    arguments to.  Arguments it leaves over are reported by the full
+    tree, as the full tree reports them; no command, --help, --version
+    and a typo need the full tree anyway."""
+    if not argv or argv[0] not in COMMANDS:
+        return build_parser().parse_args(argv)
+    name = argv[0]
+    ap = argparse.ArgumentParser(prog=f"bmx {name}")
+    COMMANDS[name][1](ap)
+    args, extras = ap.parse_known_args(argv[1:])
+    if extras:
+        build_parser().error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # only a call that names a command can skip the other subparsers;
-    # --help, --version, no argument and a typo need the full tree
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    ap = build_parser(command)
     try:
-        args = ap.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK

@@ -225,7 +225,7 @@ def _close(members: list[int], bits: int, start: int,
 def _embeddings(host_pts: Sequence[int], host_mask: int,
                 checks: Sequence[Sequence[int]],
                 bounds: Sequence[Sequence[int]], imgs: list[int],
-                pinned: Sequence[int] = (),
+                pinned: Sequence[int] = (), build_image: bool = False,
                 ) -> Iterator[tuple[int, int, list[int]]]:
     """An iterator over ``(image, last, offsets)``, one for each prefix of
     basis images that some image of the last slot completes to an
@@ -250,9 +250,12 @@ def _embeddings(host_pts: Sequence[int], host_mask: int,
     recursed into: its bitset ``last`` comes with ``image``, the
     bitset of the prefix's points in the same vector coordinates, and the
     last slot's ``offsets``, so a survivor v adds the points v and v ^ t
-    for t in offsets.  As each tuple arrives ``imgs`` holds the basis
-    images of every slot but the last.  An empty pattern gives one tuple,
-    with a last slot holding only the zero vector.
+    for t in offsets.  ``image`` is built only under ``build_image`` and
+    is 0 otherwise: finding and counting never read it, and on a host
+    above EX_MAX_DIM it costs 2^dim bits per prefix.  As each tuple
+    arrives ``imgs`` holds the basis images of every slot but the last.
+    An empty pattern gives one tuple, with a last slot holding only the
+    zero vector.
 
     On a sparse host of high dimension (``_whole_slots``), a bitset over
     every vector costs more than the few points the host offers, so each
@@ -363,9 +366,11 @@ def _embeddings(host_pts: Sequence[int], host_mask: int,
         # recurse into the passing images ``found`` of slot j < r - 1
         penultimate = j + 2 == r
         for v in found:
-            img = image | 1 << v
-            for t in offsets:
-                img |= 1 << (v ^ t)
+            img = image
+            if build_image:
+                img |= 1 << v
+                for t in offsets:
+                    img |= 1 << (v ^ t)
             imgs[j] = v
             size = len(span)
             span.extend([v ^ s for s in span])
@@ -415,8 +420,10 @@ def all_embedding_images(host_pts: Sequence[int], host_mask: int,
     ``deadline``.
     """
     out: list[int] = []
+    # no slot pinned, and the images built
     for image, last, offsets in _embeddings(host_pts, host_mask, checks,
-                                            bounds, [0] * len(checks)):
+                                            bounds, [0] * len(checks),
+                                            (), True):
         for v in _members(last):
             img = image | 1 << v
             for t in offsets:
@@ -464,17 +471,27 @@ def cover_exists(n: int, pmask: int, depth: int) -> list[int] | None:
     the branch point).  So whether a search from ``uncovered`` with d
     functionals left succeeds depends on those two alone, and the
     ``failed`` memo keys on them.
+
+    A node fails at once when it has too many uncovered points to miss.
+    With s functionals chosen (independent, by their leading bits) and d
+    left, the uncovered points lie in a kernel of dimension n - s, and d
+    more functionals cut from it a subspace of at least 2^(n-s-d) - 1
+    points, which must miss them all; so there can be at most
+    2^(n-s) - 2^(n-s-d) of them.  Since s + d = depth <= n, that bound is
+    (2^d - 1) * 2^(n-depth), and at d = 0 it is 0.
     """
     if pmask == 0:
         return []
+    depth = min(depth, n)  # at most n distinct leading bits
     table = parity_masks(n)
     failed: dict[int, int] = {}
     chosen: list[int] = []
+    room = n - depth
 
     def search(uncovered: int, d: int, leads: int) -> bool:
         if uncovered == 0:
             return True
-        if d == 0:
+        if uncovered.bit_count() > ((1 << d) - 1) << room:
             return False
         if failed.get(uncovered, -1) >= d:
             return False

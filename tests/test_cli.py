@@ -520,22 +520,85 @@ def test_a_usage_error_after_a_command_names_every_command(capsys, tri_file):
 
 
 def test_a_call_builds_only_its_own_subparser(monkeypatch, capsys, tri_file):
-    # a guard against building the whole tree again on every call
-    added = []
-    real = argparse._SubParsersAction.add_parser
+    # a guard against building the whole tree again on every call: a
+    # named call builds its command's parser (with the parsers of that
+    # command's own subcommands) and no parser of another command
+    built = []
+    real = argparse.ArgumentParser.__init__
 
-    def counted(self, name, **kwargs):
-        if self.dest == "command":
-            added.append(name)
-        return real(self, name, **kwargs)
+    def counted(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        built.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     assert run(["stat", tri_file]) == 0
-    assert added == ["stat"]
-    added.clear()
+    assert built == ["bmx stat"]
+    built.clear()
     assert run(["construct", "pg", "--t", "2"]) == 0
-    assert added == ["construct"]
-    added.clear()
+    assert built[0] == "bmx construct" and "bmx construct pg" in built
+    assert all(p.startswith("bmx construct") for p in built)
+    built.clear()
+    cli.build_parser()
+    full = built[:]
+    built.clear()
     assert run(["--version"]) == 0
-    assert added == list(COMMANDS)
+    assert built == full
+    assert {f"bmx {name}" for name in COMMANDS} <= set(full)
     capsys.readouterr()
+
+
+# a command, or a command and its subcommand, with the least tail that
+# parses (none for a command that lacks its subcommand)
+_HEADS = [
+    (["construct", "pg"], ["--t", "2"]),
+    (["stat"], ["f"]),
+    (["contains"], ["h", "p"]),
+    (["iso"], ["a", "b"]),
+    (["canon"], ["f"]),
+    (["count-restrictions"], ["h", "p"]),
+    (["decompose"], ["f"]),
+    (["ex"], ["f", "--n", "3"]),
+    (["nearest-bb"], ["f", "--k", "1"]),
+    (["graph", "chi"], ["f"]),
+    (["verify"], ["aes"]),
+    (["cache", "verify"], ["--cache-dir", "d"]),
+    (["construct"], []),
+    (["graph"], []),
+    (["cache"], []),
+]
+
+
+def _usage_corpus() -> list[list[str]]:
+    corpus = []
+    for head, tail in _HEADS:
+        corpus += [
+            head + ["-h"],
+            head,  # a missing positional (or required option)
+            head + tail + ["--format", "xml"],
+            head + tail + ["--bogus"],
+            head + tail + ["--format", "json", "extra"],
+            head + tail + ["--version"],
+            head + tail + ["--form", "xml"],
+            head + ["--form", "json"],
+            head + ["--"],
+            head + tail + ["--format", "json", "--", "x"],
+        ]
+    corpus += [
+        ["verify", "nosuch"],
+        ["construct", "nosuch"],
+        ["ex", "f", "--n", "x"],
+        ["ex", "f", "--n", "3", "--time-limit", "nan"],
+    ]
+    return corpus
+
+
+@pytest.mark.parametrize("argv", _usage_corpus(), ids=" ".join)
+def test_a_named_call_prints_what_the_full_tree_prints(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    code = run(argv)
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (want.out, want.err)
+    assert code == (0 if exc.value.code in (0, None) else 2)
+    assert code == 0 or want.err.startswith("usage: ")

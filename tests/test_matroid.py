@@ -269,14 +269,20 @@ def test_matroid_validation():
         Matroid(25, frozenset())
 
 
-def test_cover_exists_matches_the_naive_chi():
-    # random sets of dimension 1 to 5: the least depth that finds a cover
-    # is chi, and each cover found covers every point with functionals of
-    # distinct leading bits
-    rng = random.Random(16)
+def _cover_cases(rng):
     for _ in range(150):
         n = rng.randint(1, 5)
-        m = random_matroid(rng, n, rng.choice([0.2, 0.5, 0.8, 1.0]))
+        yield n, random_matroid(rng, n, rng.choice([0.2, 0.5, 0.8, 1.0]))
+    # dense sets of dimension 6, where the counting bound prunes
+    for density in (0.9, 0.95) * 10:
+        yield 6, random_matroid(rng, 6, density)
+
+
+def test_cover_exists_matches_the_naive_chi():
+    # random sets of dimension 1 to 6: the least depth that finds a cover
+    # is chi, and each cover found covers every point with functionals of
+    # distinct leading bits
+    for n, m in _cover_cases(random.Random(16)):
         c = naive_chi(m)
         for depth in range(c, n + 1):
             funs = kernels.cover_exists(n, m.mask, depth)
