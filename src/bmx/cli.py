@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from pathlib import Path
+from typing import Callable, NamedTuple
 
 from bmx import __version__
 from bmx.catalog import Catalog
@@ -52,12 +53,15 @@ SCHEMA = 1
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"no such file: {path}")
-    return p.read_text()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise UsageError(f"no such file: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
 
 
 def _read_matroid(path: str) -> Matroid:
@@ -183,6 +187,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_ex(args) -> int:
+    if args.cache_dir and os.path.exists(args.cache_dir):
+        _check_cache_dir(args.cache_dir)  # a new one is made on the first put
     fam = _family_from_files(args.files)
     cat = Catalog(args.cache_dir) if args.cache_dir else None
     cert = None
@@ -252,9 +258,14 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_FALSE
 
 
+def _check_cache_dir(path: str) -> None:
+    if not os.path.isdir(path):
+        raise UsageError(f"not a directory: {path}")
+
+
 def _cmd_cache(args) -> int:
-    cat = Catalog(args.cache_dir)
-    report = cat.verify_all()
+    _check_cache_dir(args.cache_dir)
+    report = Catalog(args.cache_dir).verify_all()
     lines = [f"checked {report.checked}", f"ok {len(report.ok)}"]
     for key, diag in report.failures:
         lines.append(f"quarantined {key}: {diag}")
@@ -266,66 +277,6 @@ def _cmd_cache(args) -> int:
     return EXIT_OK if not report.failures else EXIT_FALSE
 
 
-def _add_format(p) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-
-def _add_graph_format(p) -> None:
-    p.add_argument("--graph-format", choices=("auto", "graph6", "edgelist"),
-                   default="auto")
-
-
-def _add_construct(c) -> None:
-    cs = c.add_subparsers(dest="what", required=True)
-    for name in ("pg", "ag", "free"):
-        p = cs.add_parser(name)
-        p.add_argument("--t", type=int, required=True)
-        _add_format(p)
-    p = cs.add_parser("bb")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    _add_format(p)
-    p = cs.add_parser("circuit")
-    p.add_argument("--m", type=int, required=True)
-    _add_format(p)
-    p = cs.add_parser("graphic")
-    p.add_argument("file")
-    _add_graph_format(p)
-    _add_format(p)
-    p = cs.add_parser("lift")
-    p.add_argument("file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    _add_format(p)
-    c.set_defaults(func=_cmd_construct)
-
-
-def _add_stat(p) -> None:
-    p.add_argument("file")
-    _add_format(p)
-    p.set_defaults(func=_cmd_stat)
-
-
-def _add_contains(p) -> None:
-    p.add_argument("host")
-    p.add_argument("pattern")
-    _add_format(p)
-    p.set_defaults(func=_cmd_contains)
-
-
-def _add_iso(p) -> None:
-    p.add_argument("a")
-    p.add_argument("b")
-    _add_format(p)
-    p.set_defaults(func=_cmd_iso)
-
-
-def _add_canon(p) -> None:
-    p.add_argument("file")
-    _add_format(p)
-    p.set_defaults(func=_cmd_canon)
-
-
 def _time_limit(text: str) -> float:
     """A ``--time-limit`` in seconds: a number >= 0, ``inf`` for none.  A
     NaN deadline would never pass, so it is refused with the negatives."""
@@ -335,80 +286,79 @@ def _time_limit(text: str) -> float:
     return value
 
 
-def _add_count(p) -> None:
-    p.add_argument("host")
-    p.add_argument("pattern")
-    _add_format(p)
-    p.set_defaults(func=_cmd_count)
+class Pos(NamedTuple):
+    """A positional argument: one word, or one or more for nargs "+"."""
+    dest: str
+    nargs: str | None = None
+    choices: object = None
 
 
-def _add_decompose(p) -> None:
-    p.add_argument("files", nargs="+")
-    _add_format(p)
-    p.set_defaults(func=_cmd_decompose)
+class Opt(NamedTuple):
+    """An option: ``flag`` and one value, read by ``type``."""
+    flag: str
+    type: Callable[[str], object] = str
+    choices: object = None
+    default: object = None
+    required: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
 
-def _add_ex(p) -> None:
-    p.add_argument("files", nargs="+")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--time-limit", type=_time_limit, default=None)
-    p.add_argument("--cache-dir", default=None)
-    _add_format(p)
-    p.set_defaults(func=_cmd_ex)
+FILE, FILES = Pos("file"), Pos("files", "+")
+HOST_PATTERN = (Pos("host"), Pos("pattern"))
+N, T = Opt("--n", int, required=True), Opt("--t", int, required=True)
+TIME_LIMIT = Opt("--time-limit", _time_limit)
+FORMAT = Opt("--format", choices=("text", "json"), default="text")
+GRAPH_FORMAT = Opt("--graph-format", choices=("auto", "graph6", "edgelist"),
+                   default="auto")
 
-
-def _add_nearest_bb(p) -> None:
-    p.add_argument("file")
-    p.add_argument("--k", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_nearest_bb)
-
-
-def _add_graph(p) -> None:
-    gs = p.add_subparsers(dest="what", required=True)
-    for name in ("chi", "forest", "cubic"):
-        gp = gs.add_parser(name)
-        gp.add_argument("file")
-        if name == "forest":
-            gp.add_argument("--target", type=int, default=2)
-        _add_graph_format(gp)
-        _add_format(gp)
-    p.set_defaults(func=_cmd_graph)
-
-
-def _add_verify(p) -> None:
-    p.add_argument("suite", choices=verify_mod.SUITES)
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--time-limit", type=_time_limit, default=None)
-    _add_format(p)
-    p.set_defaults(func=_cmd_verify)
-
-
-def _add_cache(p) -> None:
-    cs2 = p.add_subparsers(dest="what", required=True)
-    vp = cs2.add_parser("verify")
-    vp.add_argument("--cache-dir", required=True)
-    _add_format(vp)
-    p.set_defaults(func=_cmd_cache)
-
-
-# top-level command -> (its help line, the function that adds its
-# arguments and ``func`` default to a parser), in help order
+# command -> (help line, the function it runs, its arguments), in help
+# order; for a command with subcommands, a dict from each subcommand
+# (kept as ``what``) to its arguments.  build_parser and _read both read
+# this table.
 COMMANDS = {
-    "construct": ("emit a standard matroid as BM1", _add_construct),
-    "stat": ("dim, size, rank, chi of a matroid", _add_stat),
-    "contains": ("host has a pattern-restriction?", _add_contains),
-    "iso": ("are two matroids isomorphic?", _add_iso),
-    "canon": ("canonical key of a matroid", _add_canon),
+    "construct": ("emit a standard matroid as BM1", _cmd_construct, {
+        "pg": (T, FORMAT), "ag": (T, FORMAT), "free": (T, FORMAT),
+        "bb": (N, T, FORMAT),
+        "circuit": (Opt("--m", int, required=True), FORMAT),
+        "graphic": (FILE, GRAPH_FORMAT, FORMAT),
+        "lift": (FILE, N, T, FORMAT)}),
+    "stat": ("dim, size, rank, chi of a matroid", _cmd_stat, (FILE, FORMAT)),
+    "contains": ("host has a pattern-restriction?", _cmd_contains,
+                 (*HOST_PATTERN, FORMAT)),
+    "iso": ("are two matroids isomorphic?", _cmd_iso,
+            (Pos("a"), Pos("b"), FORMAT)),
+    "canon": ("canonical key of a matroid", _cmd_canon, (FILE, FORMAT)),
     "count-restrictions": ("number of distinct pattern-restrictions",
-                           _add_count),
-    "decompose": ("decomposition family as BM1 blocks", _add_decompose),
-    "ex": ("exact Turan number with certificate", _add_ex),
-    "nearest-bb": ("nearest Bose-Burton geometry", _add_nearest_bb),
-    "graph": ("graph computations", _add_graph),
-    "verify": ("run a verification suite", _add_verify),
-    "cache": ("catalog maintenance", _add_cache),
+                           _cmd_count, (*HOST_PATTERN, FORMAT)),
+    "decompose": ("decomposition family as BM1 blocks", _cmd_decompose,
+                  (FILES, FORMAT)),
+    "ex": ("exact Turan number with certificate", _cmd_ex,
+           (FILES, N, TIME_LIMIT, Opt("--cache-dir"), FORMAT)),
+    "nearest-bb": ("nearest Bose-Burton geometry", _cmd_nearest_bb,
+                   (FILE, Opt("--k", int, required=True), FORMAT)),
+    "graph": ("graph computations", _cmd_graph, {
+        "chi": (FILE, GRAPH_FORMAT, FORMAT),
+        "forest": (FILE, Opt("--target", int, default=2), GRAPH_FORMAT,
+                   FORMAT),
+        "cubic": (FILE, GRAPH_FORMAT, FORMAT)}),
+    "verify": ("run a verification suite", _cmd_verify,
+               (Pos("suite", choices=verify_mod.SUITES), Opt("--max-n", int),
+                TIME_LIMIT, FORMAT)),
+    "cache": ("catalog maintenance", _cmd_cache, {
+        "verify": (Opt("--cache-dir", required=True), FORMAT)}),
 }
+
+
+def _add_arguments(p: argparse.ArgumentParser, args: tuple) -> None:
+    for a in args:
+        if isinstance(a, Pos):
+            p.add_argument(a.dest, nargs=a.nargs, choices=a.choices)
+        else:
+            p.add_argument(a.flag, type=a.type, choices=a.choices,
+                           default=a.default, required=a.required)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,26 +369,76 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (help_text, add) in COMMANDS.items():
-        add(sub.add_parser(name, help=help_text))
+    for name, (help_text, func, args) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if isinstance(args, dict):
+            ps = p.add_subparsers(dest="what", required=True)
+            for what, sub_args in args.items():
+                _add_arguments(ps.add_parser(what), sub_args)
+        else:
+            _add_arguments(p, args)
     return ap
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` as the full tree does, building for a named command
-    only that command's parser, which is the one the full tree hands its
-    arguments to.  Arguments it leaves over are reported by the full
-    tree, as the full tree reports them; no command, --help, --version
-    and a typo need the full tree anyway."""
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """``argv`` read off ``COMMANDS`` when it is a well-formed call: a
+    command (and its subcommand), then exact flags, each followed by a
+    value that does not start with ``-``, around one run of positionals
+    (``-`` among them).  The Namespace is the one the full tree returns;
+    any other argv gives None."""
     if not argv or argv[0] not in COMMANDS:
-        return build_parser().parse_args(argv)
-    name = argv[0]
-    ap = argparse.ArgumentParser(prog=f"bmx {name}")
-    COMMANDS[name][1](ap)
-    args, extras = ap.parse_known_args(argv[1:])
-    if extras:
-        build_parser().error("unrecognized arguments: " + " ".join(extras))
-    return args
+        return None
+    _, func, spec = COMMANDS[argv[0]]
+    ns = {"command": argv[0], "func": func}
+    rest = argv[1:]
+    if isinstance(spec, dict):
+        if not rest or rest[0] not in spec:
+            return None
+        ns["what"] = rest[0]
+        spec, rest = spec[rest[0]], rest[1:]
+    opts = {a.flag: a for a in spec if isinstance(a, Opt)}
+    words: list[str] = []
+    i = end = 0  # end: the index just past the run of positionals
+    while i < len(rest):
+        if rest[i][:1] != "-" or rest[i] == "-":
+            if words and end != i:
+                return None
+            words.append(rest[i])
+            i = end = i + 1
+            continue
+        opt = opts.get(rest[i])
+        if (opt is None or opt.dest in ns or i + 1 == len(rest)
+                or rest[i + 1][:1] == "-"):
+            return None
+        try:
+            value = opt.type(rest[i + 1])
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        ns[opt.dest] = value
+        i += 2
+    for a in spec:
+        if isinstance(a, Opt):
+            if a.dest not in ns:
+                if a.required:
+                    return None
+                ns[a.dest] = a.default
+            continue
+        take = words if a.nargs == "+" else words[:1]
+        if not take or any(a.choices and w not in a.choices for w in take):
+            return None
+        ns[a.dest] = take if a.nargs == "+" else take[0]
+        words = words[len(take):]
+    return None if words else argparse.Namespace(**ns)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as the full tree does.  A well-formed call is read
+    off ``COMMANDS`` without building a parser; the full tree parses
+    every other argv, so help, usage errors and exit codes are its own."""
+    return _read(argv) or build_parser().parse_args(argv)
 
 
 def run(argv=None) -> int:

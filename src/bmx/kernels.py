@@ -121,7 +121,11 @@ def canon_mask(n: int, pmask: int) -> int:
     size = 1 << n
     lows = _lows(n)
     pm = pmask << 1
-    tr = [_translate(pm, a, lows) for a in range(size)]
+    tr = [pm]  # tr[a] is tr[a ^ half] translated by half, the low bit of a
+    for a in range(1, size):
+        half = a & -a
+        low, b = lows[half.bit_length() - 1], tr[a ^ half]
+        tr.append((b & low) << half | (b >> half) & low)
     comp = (full << 1) ^ pm
     t0 = 1  # span(M')
     for p in range(1, size):

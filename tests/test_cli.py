@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import random
 
@@ -181,7 +182,6 @@ def test_compact_and_stdin(capsys, monkeypatch, tmp_path):
     p.write_text(to_compact(pg(2)) + "\n")
     code, out = invoke(capsys, "stat", str(p))
     assert code == 0 and "size 3" in out
-    import io
     monkeypatch.setattr("sys.stdin", io.StringIO(to_bm1(pg(2))))
     code, out = invoke(capsys, "stat", "-")
     assert code == 0 and "size 3" in out
@@ -439,6 +439,41 @@ def test_exit_codes(capsys, tmp_path, tri_file):
     assert invoke(capsys, "ex", tri_file, "--n", "9")[0] == 3
 
 
+def test_input_that_is_not_utf8_exits_2(capsys, tmp_path):
+    # exit 1 means false or uncertified, so unreadable input is a usage error
+    p = tmp_path / "binary"
+    p.write_bytes(b"\xff\xfe")
+    for argv in (["stat", str(p)], ["graph", "chi", str(p)]):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot read {p}:")
+    assert run(["stat", str(tmp_path)]) == 2  # a directory is no file
+    assert capsys.readouterr().err == f"error: no such file: {tmp_path}\n"
+
+
+def test_a_cache_dir_that_is_not_a_directory_exits_2(capsys, monkeypatch,
+                                                     tmp_path, tri_file):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+
+    def search(*args, **kwargs):
+        raise AssertionError("searched before the cache root was checked")
+
+    monkeypatch.setattr(cli, "ex_search", search)
+    assert run(["ex", tri_file, "--n", "3", "--cache-dir", str(plain)]) == 2
+    assert capsys.readouterr().err == f"error: not a directory: {plain}\n"
+    monkeypatch.undo()
+    # a catalog that does not exist passes no check
+    for root in (plain, tmp_path / "missing"):
+        assert run(["cache", "verify", "--cache-dir", str(root)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: not a directory: {root}\n"
+    new = tmp_path / "new" / "cache"  # made on the first put
+    assert run(["ex", tri_file, "--n", "3", "--cache-dir", str(new)]) == 0
+    assert run(["cache", "verify", "--cache-dir", str(new)]) == 0
+    assert "checked 1" in capsys.readouterr().out
+
+
 def test_verify_aes_suite(capsys):
     code, out = invoke(capsys, "verify", "aes", "--format", "json")
     assert code == 0
@@ -519,10 +554,10 @@ def test_a_usage_error_after_a_command_names_every_command(capsys, tri_file):
         assert name in err
 
 
-def test_a_call_builds_only_its_own_subparser(monkeypatch, capsys, tri_file):
-    # a guard against building the whole tree again on every call: a
-    # named call builds its command's parser (with the parsers of that
-    # command's own subcommands) and no parser of another command
+def test_a_valid_call_builds_no_parser(monkeypatch, capsys, tri_file):
+    # a guard against building parsers on every call again: a well-formed
+    # named call is read off the table, and only what argparse must print
+    # or refuse builds the full tree
     built = []
     real = argparse.ArgumentParser.__init__
 
@@ -531,20 +566,121 @@ def test_a_call_builds_only_its_own_subparser(monkeypatch, capsys, tri_file):
         built.append(self.prog)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    assert run(["stat", tri_file]) == 0
-    assert built == ["bmx stat"]
-    built.clear()
-    assert run(["construct", "pg", "--t", "2"]) == 0
-    assert built[0] == "bmx construct" and "bmx construct pg" in built
-    assert all(p.startswith("bmx construct") for p in built)
-    built.clear()
+    for argv in (["stat", tri_file], ["construct", "pg", "--t", "2"],
+                 ["graph", "chi", "-"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO("C~\n"))
+        assert run(argv) == 0
+        assert built == []
     cli.build_parser()
     full = built[:]
-    built.clear()
-    assert run(["--version"]) == 0
-    assert built == full
     assert {f"bmx {name}" for name in COMMANDS} <= set(full)
+    for argv in (["--version"], ["stat", tri_file, "--bogus"]):
+        built.clear()
+        assert run(argv) in (0, 2)
+        assert built == full
     capsys.readouterr()
+
+
+# well-formed calls: every command and subcommand, every option, ``-`` for
+# standard input, options before and after the positionals
+_VALID = [
+    ["construct", "pg", "--t", "2"],
+    ["construct", "ag", "--format", "json", "--t", "3"],
+    ["construct", "free", "--t", "0", "--format", "text"],
+    ["construct", "bb", "--n", "4", "--t", "2", "--format", "json"],
+    ["construct", "circuit", "--m", "5"],
+    ["construct", "graphic", "g", "--graph-format", "edgelist",
+     "--format", "json"],
+    ["construct", "graphic", "--graph-format", "graph6", "-"],
+    ["construct", "lift", "--n", "3", "f", "--t", "1", "--format", "json"],
+    ["stat", "f"],
+    ["stat", "-", "--format", "json"],
+    ["stat", "--format", "text", "f"],
+    ["contains", "h", "p", "--format", "json"],
+    ["contains", "--format", "json", "-", "p"],
+    ["iso", "a", "b"],
+    ["iso", "--format", "json", "a", "-"],
+    ["canon", "-", "--format", "json"],
+    ["count-restrictions", "h", "p"],
+    ["count-restrictions", "--format", "json", "h", "p"],
+    ["decompose", "a", "b", "c"],
+    ["decompose", "--format", "json", "-"],
+    ["ex", "f", "--n", "3"],
+    ["ex", "--n", "5", "a", "-", "--time-limit", "2.5", "--cache-dir", "d",
+     "--format", "json"],
+    ["ex", "--time-limit", "inf", "--cache-dir", "", "f", "--n", "0"],
+    ["nearest-bb", "f", "--k", "2"],
+    ["nearest-bb", "--k", "1", "--format", "json", "-"],
+    ["graph", "chi", "g"],
+    ["graph", "chi", "--graph-format", "edgelist", "-", "--format", "json"],
+    ["graph", "forest", "g", "--target", "3", "--graph-format", "graph6",
+     "--format", "json"],
+    ["graph", "forest", "--graph-format", "auto", "-"],
+    ["graph", "cubic", "g", "--format", "json", "--graph-format", "auto"],
+    ["verify", "bose-burton", "--max-n", "4", "--time-limit", "10",
+     "--format", "json"],
+    ["verify", "--max-n", "3", "cliques"],
+    *[["verify", suite] for suite in verify.SUITES],
+    ["cache", "verify", "--cache-dir", "d"],
+    ["cache", "verify", "--format", "json", "--cache-dir", "d"],
+]
+
+# calls that parse, which the table reader leaves to argparse
+_HANDED = [
+    ["ex", "f", "--n=3"],
+    ["stat", "f", "--form", "json"],
+    ["contains", "h", "--format", "json", "p"],
+    ["stat", "f", "--format", "json", "--format", "text"],
+    ["construct", "pg", "--t", "-1"],
+    ["ex", "f", "--n", "3", "--cache-dir", "-"],
+]
+
+
+@pytest.mark.parametrize("argv", _VALID + _HANDED, ids=" ".join)
+def test_a_call_parses_as_the_full_tree_parses(argv):
+    assert (cli._read(argv) is None) == (argv in _HANDED)
+    assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_what_the_reader_accepts_parses_alike():
+    # seeded random calls: options around a run of positionals, with some
+    # words dropped in; each call the reader accepts, argparse parses to
+    # the same Namespace
+    rnd = random.Random(3)
+    values = ["f", "-", "", "0", "2", "1.5", "-1", "nan", "json", "aes"]
+    stray = ["--", "-h", "--n=3", "--form", "-x", "x y", "pg", "--format"]
+    accepted = 0
+    for _ in range(600):
+        argv = [rnd.choice(sorted(COMMANDS))]
+        spec = COMMANDS[argv[0]][2]
+        if isinstance(spec, dict):
+            argv.append(rnd.choice(sorted(spec)))
+            spec = spec[argv[1]]
+        pairs = [[a.flag, rnd.choice(list(a.choices or values))]
+                 for a in spec if isinstance(a, cli.Opt)
+                 and (a.required or rnd.random() < 0.5)]
+        words = sum(isinstance(a, cli.Pos) for a in spec) + rnd.choice(
+            (-1, 0, 0, 1))
+        split = rnd.randint(0, len(pairs))
+        tail = (sum(pairs[:split], []) + rnd.choices(values, k=max(words, 0))
+                + sum(pairs[split:], []))
+        for _ in range(rnd.choice((0, 0, 1, 2))):
+            tail.insert(rnd.randint(0, len(tail)), rnd.choice(values + stray))
+        argv += tail
+        args = cli._read(argv)
+        if args is not None:
+            accepted += 1
+            assert vars(args) == vars(cli.build_parser().parse_args(argv))
+    assert accepted >= 60, accepted
+
+
+def test_files_of_ex_split_by_an_option_are_argparse_s_error(capsys):
+    # argparse gives a "+" positional only its first run of words, so the
+    # reader leaves the call to it, and it refuses the rest
+    argv = ["ex", "a", "--n", "3", "b"]
+    assert cli._read(argv) is None
+    assert run(argv) == 2
+    assert "unrecognized arguments: b" in capsys.readouterr().err
 
 
 # a command, or a command and its subcommand, with the least tail that
