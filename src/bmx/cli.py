@@ -71,13 +71,9 @@ def _read_matroid(path: str) -> Matroid:
     return from_bm1(text)
 
 
-def _read_graph(path: str, fmt: str) -> SimpleGraph:
+def _read_graph(path: str) -> SimpleGraph:
     text = _read_text(path)
-    if fmt == "graph6":
-        return parse_graph6(text)
-    if fmt == "edgelist":
-        return parse_edgelist(text)
-    # auto: an edge list line has two whitespace-separated fields
+    # an edge list line has two whitespace-separated fields
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -106,32 +102,16 @@ def _emit(args, text: str | None, obj: dict) -> None:
     print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _matroid_obj(m: Matroid) -> dict:
-    return {"compact": to_compact(m), "dim": m.dim, "size": m.size}
-
-
-def _cmd_construct(args) -> int:
-    kind = args.what
-    if kind == "pg":
-        m = pg(args.t)
-    elif kind == "ag":
-        m = ag(args.t)
-    elif kind == "bb":
-        m = bb(args.n, args.t)
-    elif kind == "free":
-        m = free(args.t)
-    elif kind == "circuit":
-        m = circuit(args.m)
-    elif kind == "graphic":
-        m = graphic(_read_graph(args.file, args.graph_format))
-    elif kind == "lift":
-        m = lift(LiftSpec(_read_matroid(args.file), args.n, args.t))
-    else:  # pragma: no cover - argparse gates this
-        raise UsageError(f"unknown construction {kind!r}")
-    # the BM1 text of a large PG costs seconds, and JSON does not print it
-    text = to_bm1(m) if args.format == "text" else None
-    _emit(args, text, {"kind": "matroid", **_matroid_obj(m)})
-    return EXIT_OK
+def _construct(build: Callable[[argparse.Namespace], Matroid]):
+    """A ``construct`` leaf: print the matroid ``build(args)`` makes."""
+    def cmd(args) -> int:
+        m = build(args)
+        # the BM1 text of a large PG costs seconds, and JSON does not print it
+        text = to_bm1(m) if args.format == "text" else None
+        _emit(args, text, {"kind": "matroid", "compact": to_compact(m),
+                           "dim": m.dim, "size": m.size})
+        return EXIT_OK
+    return cmd
 
 
 def _cmd_stat(args) -> int:
@@ -215,29 +195,30 @@ def _cmd_nearest_bb(args) -> int:
     return EXIT_OK
 
 
-def _cmd_graph(args) -> int:
-    g = _read_graph(args.file, args.graph_format)
-    if args.what == "chi":
-        c = chromatic_number(g)
-        _emit(args, str(c), {"kind": "graph-chi", "chi": c})
-        return EXIT_OK
-    if args.what == "forest":
-        cert = min_forest_drop(g, args.target)
-        if cert is None:
-            _emit(args, "none", {"kind": "graph-forest", "forest": None})
-            return EXIT_FALSE
-        edges = [list(e) for e in cert.forest]
-        text = (f"forest {' '.join(f'{u}-{v}' for u, v in cert.forest)}\n"
-                f"size {len(cert.forest)}\nchi_after {cert.chi_after}\n")
-        _emit(args, text, {"kind": "graph-forest", "forest": edges,
-                           "size": len(edges), "chi_after": cert.chi_after,
-                           "target": cert.target})
-        return EXIT_OK
-    if args.what == "cubic":
-        nu, const = cubic_remark_data(g)
-        _emit(args, None, {"kind": "graph-cubic", "nu": nu, "constant": const})
-        return EXIT_OK
-    raise UsageError(f"unknown graph command {args.what!r}")
+def _graph_chi(args) -> int:
+    c = chromatic_number(_read_graph(args.file))
+    _emit(args, str(c), {"kind": "graph-chi", "chi": c})
+    return EXIT_OK
+
+
+def _graph_forest(args) -> int:
+    cert = min_forest_drop(_read_graph(args.file), args.target)
+    if cert is None:
+        _emit(args, "none", {"kind": "graph-forest", "forest": None})
+        return EXIT_FALSE
+    edges = [list(e) for e in cert.forest]
+    text = (f"forest {' '.join(f'{u}-{v}' for u, v in cert.forest)}\n"
+            f"size {len(cert.forest)}\nchi_after {cert.chi_after}\n")
+    _emit(args, text, {"kind": "graph-forest", "forest": edges,
+                       "size": len(edges), "chi_after": cert.chi_after,
+                       "target": cert.target})
+    return EXIT_OK
+
+
+def _graph_cubic(args) -> int:
+    nu, const = cubic_remark_data(_read_graph(args.file))
+    _emit(args, None, {"kind": "graph-cubic", "nu": nu, "constant": const})
+    return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
@@ -311,49 +292,53 @@ HOST_PATTERN = (Pos("host"), Pos("pattern"))
 N, T = Opt("--n", int, required=True), Opt("--t", int, required=True)
 TIME_LIMIT = Opt("--time-limit", _time_limit)
 FORMAT = Opt("--format", choices=("text", "json"), default="text")
-GRAPH_FORMAT = Opt("--graph-format", choices=("auto", "graph6", "edgelist"),
-                   default="auto")
 
-# command -> (help line, the function it runs, its arguments), in help
-# order; for a command with subcommands, a dict from each subcommand
-# (kept as ``what``) to its arguments.  build_parser and _read both read
-# this table.
+# command -> (help line, its leaf), in help order; a leaf is (the function
+# it runs, its arguments), and a command with subcommands has a dict from
+# each subcommand (kept as ``what``) to its leaf.  Every leaf also takes
+# FORMAT, after its own arguments.  build_parser and _read both read this
+# table.
 COMMANDS = {
-    "construct": ("emit a standard matroid as BM1", _cmd_construct, {
-        "pg": (T, FORMAT), "ag": (T, FORMAT), "free": (T, FORMAT),
-        "bb": (N, T, FORMAT),
-        "circuit": (Opt("--m", int, required=True), FORMAT),
-        "graphic": (FILE, GRAPH_FORMAT, FORMAT),
-        "lift": (FILE, N, T, FORMAT)}),
-    "stat": ("dim, size, rank, chi of a matroid", _cmd_stat, (FILE, FORMAT)),
-    "contains": ("host has a pattern-restriction?", _cmd_contains,
-                 (*HOST_PATTERN, FORMAT)),
-    "iso": ("are two matroids isomorphic?", _cmd_iso,
-            (Pos("a"), Pos("b"), FORMAT)),
-    "canon": ("canonical key of a matroid", _cmd_canon, (FILE, FORMAT)),
+    "construct": ("emit a standard matroid as BM1", {
+        "pg": (_construct(lambda a: pg(a.t)), (T,)),
+        "ag": (_construct(lambda a: ag(a.t)), (T,)),
+        "free": (_construct(lambda a: free(a.t)), (T,)),
+        "bb": (_construct(lambda a: bb(a.n, a.t)), (N, T)),
+        "circuit": (_construct(lambda a: circuit(a.m)),
+                    (Opt("--m", int, required=True),)),
+        "graphic": (_construct(lambda a: graphic(_read_graph(a.file))),
+                    (FILE,)),
+        "lift": (_construct(lambda a: lift(LiftSpec(
+            _read_matroid(a.file), a.n, a.t))), (FILE, N, T))}),
+    "stat": ("dim, size, rank, chi of a matroid", (_cmd_stat, (FILE,))),
+    "contains": ("host has a pattern-restriction?",
+                 (_cmd_contains, HOST_PATTERN)),
+    "iso": ("are two matroids isomorphic?", (_cmd_iso, (Pos("a"), Pos("b")))),
+    "canon": ("canonical key of a matroid", (_cmd_canon, (FILE,))),
     "count-restrictions": ("number of distinct pattern-restrictions",
-                           _cmd_count, (*HOST_PATTERN, FORMAT)),
-    "decompose": ("decomposition family as BM1 blocks", _cmd_decompose,
-                  (FILES, FORMAT)),
-    "ex": ("exact Turan number with certificate", _cmd_ex,
-           (FILES, N, TIME_LIMIT, Opt("--cache-dir"), FORMAT)),
-    "nearest-bb": ("nearest Bose-Burton geometry", _cmd_nearest_bb,
-                   (FILE, Opt("--k", int, required=True), FORMAT)),
-    "graph": ("graph computations", _cmd_graph, {
-        "chi": (FILE, GRAPH_FORMAT, FORMAT),
-        "forest": (FILE, Opt("--target", int, default=2), GRAPH_FORMAT,
-                   FORMAT),
-        "cubic": (FILE, GRAPH_FORMAT, FORMAT)}),
-    "verify": ("run a verification suite", _cmd_verify,
-               (Pos("suite", choices=verify_mod.SUITES), Opt("--max-n", int),
-                TIME_LIMIT, FORMAT)),
-    "cache": ("catalog maintenance", _cmd_cache, {
-        "verify": (Opt("--cache-dir", required=True), FORMAT)}),
+                           (_cmd_count, HOST_PATTERN)),
+    "decompose": ("decomposition family as BM1 blocks",
+                  (_cmd_decompose, (FILES,))),
+    "ex": ("exact Turan number with certificate",
+           (_cmd_ex, (FILES, N, TIME_LIMIT, Opt("--cache-dir")))),
+    "nearest-bb": ("nearest Bose-Burton geometry",
+                   (_cmd_nearest_bb, (FILE, Opt("--k", int, required=True)))),
+    "graph": ("graph computations", {
+        "chi": (_graph_chi, (FILE,)),
+        "forest": (_graph_forest, (FILE, Opt("--target", int, default=2))),
+        "cubic": (_graph_cubic, (FILE,))}),
+    "verify": ("run a verification suite",
+               (_cmd_verify, (Pos("suite", choices=verify_mod.SUITES),
+                              Opt("--max-n", int), TIME_LIMIT))),
+    "cache": ("catalog maintenance", {
+        "verify": (_cmd_cache, (Opt("--cache-dir", required=True),))}),
 }
 
 
-def _add_arguments(p: argparse.ArgumentParser, args: tuple) -> None:
-    for a in args:
+def _add_leaf(p: argparse.ArgumentParser, leaf: tuple) -> None:
+    func, args = leaf
+    p.set_defaults(func=func)
+    for a in (*args, FORMAT):
         if isinstance(a, Pos):
             p.add_argument(a.dest, nargs=a.nargs, choices=a.choices)
         else:
@@ -369,15 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (help_text, func, args) in COMMANDS.items():
+    for name, (help_text, leaf) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        if isinstance(args, dict):
+        if isinstance(leaf, dict):
             ps = p.add_subparsers(dest="what", required=True)
-            for what, sub_args in args.items():
-                _add_arguments(ps.add_parser(what), sub_args)
+            for what, sub_leaf in leaf.items():
+                _add_leaf(ps.add_parser(what), sub_leaf)
         else:
-            _add_arguments(p, args)
+            _add_leaf(p, leaf)
     return ap
 
 
@@ -389,14 +373,15 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
     any other argv gives None."""
     if not argv or argv[0] not in COMMANDS:
         return None
-    _, func, spec = COMMANDS[argv[0]]
-    ns = {"command": argv[0], "func": func}
-    rest = argv[1:]
-    if isinstance(spec, dict):
-        if not rest or rest[0] not in spec:
+    leaf, rest = COMMANDS[argv[0]][1], argv[1:]
+    ns = {"command": argv[0]}
+    if isinstance(leaf, dict):
+        if not rest or rest[0] not in leaf:
             return None
         ns["what"] = rest[0]
-        spec, rest = spec[rest[0]], rest[1:]
+        leaf, rest = leaf[rest[0]], rest[1:]
+    ns["func"], spec = leaf
+    spec = (*spec, FORMAT)
     opts = {a.flag: a for a in spec if isinstance(a, Opt)}
     words: list[str] = []
     i = end = 0  # end: the index just past the run of positionals

@@ -132,8 +132,6 @@ def lift(spec: LiftSpec) -> Matroid:
 
 def graphic(g: "SimpleGraph") -> Matroid:
     """Cycle matroid of a simple graph: columns of its incidence matrix."""
-    if g.n > MAX_DIM:
-        raise UsageError(f"graph must have <= {MAX_DIM} vertices")
     pts = frozenset((1 << u) | (1 << v) for u, v in g.edges)
     return Matroid(g.n, pts)
 
@@ -171,18 +169,18 @@ def chi(m: Matroid) -> int:
     """Critical number: least codimension of a subspace disjoint from m,
     computed on m's span (``recoordinatize``), which alone decides it.
 
-    Searches ascending c from the counting bound (a codimension-c
-    subspace that misses m has 2^(r-c) - 1 points, all among the
-    2^r - 1 - |m| points of the span outside m); ``kernels.cover_exists``
-    looks for c parity functionals that jointly cover every point.
+    Searches ascending c from 1; ``kernels.cover_exists`` looks for c
+    parity functionals that jointly cover every point, and refuses at its
+    root a c below the counting bound (a codimension-c subspace that
+    misses m has 2^(r-c) - 1 points, all among the 2^r - 1 - |m| points
+    of the span outside m).
     """
     s = recoordinatize(m)
     if s.dim > CHI_MAX_DIM:
         raise CapacityError(f"critical number limited to rank <= {CHI_MAX_DIM}")
     if not s.points:
         return 0
-    free = (1 << s.dim) - len(s.points)
-    for c in range(max(1, s.dim - free.bit_length() + 1), s.dim + 1):
+    for c in range(1, s.dim + 1):
         if kernels.cover_exists(s.dim, s.mask, c) is not None:
             return c
     raise AssertionError("full geometry is always covered at c = rank")

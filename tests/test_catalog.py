@@ -11,7 +11,13 @@ import os
 import pytest
 
 from bmx import __version__, kernels
-from bmx.catalog import KIND, Catalog, entry_key, verify_certificate
+from bmx.catalog import (
+    KIND,
+    Catalog,
+    VerifyReport,
+    entry_key,
+    verify_certificate,
+)
 from bmx.errors import UsageError
 from bmx.extremal import Family, TuranCertificate, ex_search
 from bmx.graphs import SimpleGraph
@@ -133,6 +139,37 @@ def test_quarantine_survives_a_concurrent_move(cat):
     cat._quarantine(path, diag)
     assert cat.get(key) is None
     assert (cat.root / "quarantine" / f"{key}.json").is_file()
+
+
+def test_entry_under_another_key_is_quarantined(cat):
+    # a valid entry copied to the path of another key is quarantined by a
+    # get of that key and by ``cache verify``; the original still serves
+    key = cat.put(_cert())
+    other = "ab" * 32
+    path = cat._path(other)
+    path.parent.mkdir(parents=True)
+    reason = "entry key does not match its filename"
+    path.write_text(cat._path(key).read_text())
+    assert cat.get(other) is None and not path.exists()
+    path.write_text(cat._path(key).read_text())
+    assert cat.verify_all() == VerifyReport(2, (key,), ((other, reason),))
+    assert not path.exists()
+    assert (cat.root / "quarantine" / f"{other}.reason").read_text() \
+        == reason + "\n"
+    assert cat.get(key) is not None
+
+
+def test_a_failed_put_leaves_no_temp_file(cat, monkeypatch):
+    def fail(fd):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(os, "fsync", fail)
+    cert = _cert()
+    with pytest.raises(OSError, match="disk gone"):
+        cat.put(cert)
+    monkeypatch.undo()
+    assert not list(cat.root.glob("**/*.tmp"))
+    assert cat.get(entry_key(cert.family, cert.n)) is None
 
 
 def _put_many(root, payload, start, times):

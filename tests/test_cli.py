@@ -424,6 +424,33 @@ def test_graph_commands(capsys, tmp_path):
     assert code == 0 and "nu 2" in out and "constant 1" in out
 
 
+def test_graph_forest_with_no_forest_exits_1(capsys, tmp_path):
+    # no forest of K4 can be dropped to leave chi 1
+    g6 = tmp_path / "k4.g6"
+    g6.write_text("C~\n")
+    assert invoke(capsys, "graph", "forest", str(g6), "--target", "1") \
+        == (1, "none\n")
+    code, out = invoke(capsys, "graph", "forest", str(g6), "--target", "1",
+                       "--format", "json")
+    assert code == 1 and json.loads(out)["forest"] is None
+
+
+@pytest.mark.parametrize("text, err", [
+    ("", "empty graph input"),
+    ("# a comment only\n\n", "empty graph input"),
+    # two words read as an edge list, never as a graph6 first word
+    ("A_ B\n", "edge endpoints must be integers"),
+])
+def test_graph_input_that_is_no_graph_exits_2(capsys, tmp_path, text, err):
+    # the format is read off the text, and none of these is a graph
+    p = tmp_path / "g"
+    p.write_text(text)
+    for argv in (["graph", "chi", str(p)], ["construct", "graphic", str(p)]):
+        assert run(argv) == 2
+        out, got = capsys.readouterr()
+        assert out == "" and got.startswith(f"error: {err}"), (argv, got)
+
+
 def test_exit_codes(capsys, tmp_path, tri_file):
     # usage: unknown subcommand and bad file
     assert invoke(capsys, "frobnicate")[0] == 2
@@ -479,6 +506,20 @@ def test_verify_aes_suite(capsys):
     assert code == 0
     d = json.loads(out)
     assert d["pass"] is True and len(d["rows"]) == 2
+
+
+# the rows of each suite at its default options
+SUITE_ROWS = {"bose-burton": 9, "octahedron": 4, "cliques": 8,
+              "critical-edge": 5, "aes": 2, "chi-log-formula": 1}
+
+
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_verify_suite_passes(capsys, suite):
+    code, out = invoke(capsys, "verify", suite, "--format", "json")
+    assert code == 0
+    d = json.loads(out)
+    assert d["pass"] is True and len(d["rows"]) == SUITE_ROWS[suite]
+    assert all(r["ok"] for r in d["rows"]), d["rows"]
 
 
 def test_verify_bose_burton_small(capsys):
@@ -589,9 +630,8 @@ _VALID = [
     ["construct", "free", "--t", "0", "--format", "text"],
     ["construct", "bb", "--n", "4", "--t", "2", "--format", "json"],
     ["construct", "circuit", "--m", "5"],
-    ["construct", "graphic", "g", "--graph-format", "edgelist",
-     "--format", "json"],
-    ["construct", "graphic", "--graph-format", "graph6", "-"],
+    ["construct", "graphic", "g", "--format", "json"],
+    ["construct", "graphic", "-"],
     ["construct", "lift", "--n", "3", "f", "--t", "1", "--format", "json"],
     ["stat", "f"],
     ["stat", "-", "--format", "json"],
@@ -612,11 +652,10 @@ _VALID = [
     ["nearest-bb", "f", "--k", "2"],
     ["nearest-bb", "--k", "1", "--format", "json", "-"],
     ["graph", "chi", "g"],
-    ["graph", "chi", "--graph-format", "edgelist", "-", "--format", "json"],
-    ["graph", "forest", "g", "--target", "3", "--graph-format", "graph6",
-     "--format", "json"],
-    ["graph", "forest", "--graph-format", "auto", "-"],
-    ["graph", "cubic", "g", "--format", "json", "--graph-format", "auto"],
+    ["graph", "chi", "-", "--format", "json"],
+    ["graph", "forest", "g", "--target", "3", "--format", "json"],
+    ["graph", "forest", "-"],
+    ["graph", "cubic", "g", "--format", "json"],
     ["verify", "bose-burton", "--max-n", "4", "--time-limit", "10",
      "--format", "json"],
     ["verify", "--max-n", "3", "cliques"],
@@ -642,6 +681,27 @@ def test_a_call_parses_as_the_full_tree_parses(argv):
     assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv))
 
 
+# calls that named the graph format, which is now always read off the input
+_GRAPH_FORMAT = [
+    ["construct", "graphic", "g", "--graph-format", "edgelist",
+     "--format", "json"],
+    ["construct", "graphic", "--graph-format", "graph6", "-"],
+    ["graph", "chi", "--graph-format", "edgelist", "-", "--format", "json"],
+    ["graph", "forest", "g", "--target", "3", "--graph-format", "graph6",
+     "--format", "json"],
+    ["graph", "forest", "--graph-format", "auto", "-"],
+    ["graph", "cubic", "g", "--format", "json", "--graph-format", "auto"],
+]
+
+
+@pytest.mark.parametrize("argv", _GRAPH_FORMAT, ids=" ".join)
+def test_a_graph_format_option_is_a_usage_error(capsys, argv):
+    assert cli._read(argv) is None
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --graph-format" in err
+
+
 def test_what_the_reader_accepts_parses_alike():
     # seeded random calls: options around a run of positionals, with some
     # words dropped in; each call the reader accepts, argparse parses to
@@ -652,10 +712,11 @@ def test_what_the_reader_accepts_parses_alike():
     accepted = 0
     for _ in range(600):
         argv = [rnd.choice(sorted(COMMANDS))]
-        spec = COMMANDS[argv[0]][2]
-        if isinstance(spec, dict):
-            argv.append(rnd.choice(sorted(spec)))
-            spec = spec[argv[1]]
+        leaf = COMMANDS[argv[0]][1]
+        if isinstance(leaf, dict):
+            argv.append(rnd.choice(sorted(leaf)))
+            leaf = leaf[argv[1]]
+        spec = (*leaf[1], cli.FORMAT)
         pairs = [[a.flag, rnd.choice(list(a.choices or values))]
                  for a in spec if isinstance(a, cli.Opt)
                  and (a.required or rnd.random() < 0.5)]

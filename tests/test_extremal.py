@@ -299,9 +299,10 @@ def test_family_dedups_by_span(monkeypatch):
 def test_ex_deadline_holds_over_the_sort(monkeypatch):
     # the whole solve of {I4} at n = 6 (546,840 copies) can finish inside
     # 1 s, so the clock of ``extremal`` is made to jump: its first reading
-    # (the start) is true and every later one is past the deadline.
-    # ``kernels`` keeps its own clock, so only the check after the sort
-    # can end the call
+    # (the start) is true and every later one is past the deadline.  The
+    # clock of ``kernels`` stays before the deadline, however long the
+    # copies take to arrive, so only the check after the sort can end the
+    # call
     readings = []
 
     def jumping():
@@ -309,6 +310,7 @@ def test_ex_deadline_holds_over_the_sort(monkeypatch):
         return readings[-1]
 
     monkeypatch.setattr(extremal, "time", SimpleNamespace(monotonic=jumping))
+    monkeypatch.setattr(kernels, "time", SimpleNamespace(monotonic=lambda: 0.0))
     with time_budget(3):
         cert = ex_search(Family.from_matroids([free(4)]), 6, time_limit=1)
     assert not cert.certified
@@ -713,6 +715,17 @@ def test_maintech_lower_bound_soundness():
             mt = maintech_rhs(fam, n)
             assert mt.witness_free, (fam, n)
             assert mt.witness.size == mt.value
+
+
+def test_maintech_with_k0_is_the_search():
+    # C4 has chi 1, so k = 0: no lift, and the formula is the search of
+    # the family itself, value and witness
+    fam = Family.from_matroids([circuit(4)])
+    mt = maintech_rhs(fam, 4)
+    cert = ex_search(fam, 4)
+    assert mt.k == 0 and cert.certified
+    assert (mt.value, mt.witness) == (cert.value, cert.witness)
+    assert mt.witness_free
 
 
 def test_maintech_matches_search_small():
