@@ -5,12 +5,17 @@ own points, so candidate images always range over the host's points.  The
 pattern is preprocessed into a closure schedule: each new basis slot
 unlocks the pattern points it makes fully determined, which are checked
 immediately for early pruning, and each point carries the basic orbits of
-Aut(N) it lies in, so that every copy of N is found once.  A schedule is
-a function of N's point set alone, and is cached by it: the dimension N
-is declared in plays no part in containment or in copy counting, nor in
-``canonical_key``, the one key of N, computed over its span, by which a
-family dedups its members, the catalog keys its entries, the
-decomposition family keys its slices and ``isomorphic`` compares.
+Aut(N) it lies in, so that every copy of N is found once.  The orbits
+come from pinned searches for N in itself, and each automorphism such a
+search finds settles, with no search, every point it reaches.  A
+schedule is a function of N's point set alone, and is cached by it: the
+dimension N is declared in plays no part in containment or in copy
+counting, nor in ``canonical_key``, the one key of N, computed over its
+span, by which a family dedups its members, the catalog keys its
+entries, the decomposition family keys its slices and ``isomorphic``
+compares.  ``isomorphic`` first compares the line counts of the two
+sets, an invariant that costs what their points cost, and computes keys
+only when those agree.
 """
 
 from __future__ import annotations
@@ -84,8 +89,21 @@ def _orbit_bounds(checks: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     set of its coefficient masks.  A point x outside span(b_0..b_{i-1})
     lies in O_i iff N embeds into itself with b_h -> b_h for h < i and
     b_i -> x; such an embedding permutes N's points, so it is an
-    automorphism.  Each test is one existence search with that prefix
+    automorphism.  A test is one existence search with that prefix
     pinned, and no list of Aut(N) is ever built.
+
+    The slots are walked from r - 1 down to 0, and each search that
+    succeeds keeps its automorphism as a map of N's points.  One found at
+    slot j fixes b_0..b_{j-1}, so it lies in the stabiliser G_i of
+    b_0..b_{i-1} for every i <= j, and O_i is the orbit of b_i under G_i.
+    So at slot i every point that the maps kept so far reach from b_i
+    lies in O_i, and needs no search.  O_i is a union of G_i-orbits, so
+    when the search for x fails, no point those maps reach from x lies in
+    O_i either.  Every other point is tested as it would be with no maps
+    kept, so the bounds do not depend on them.  Every point of O_i is
+    reached or found, so the maps kept by the end of slot i carry b_i
+    onto all of O_i, and by induction from the last slot they generate
+    G_i: the maps kept are a strong generating set of Aut(N).
 
     The search runs only for an x that passes two necessary tests: such
     an automorphism s fixes every y in span(b_0..b_{i-1}) and sends
@@ -101,18 +119,50 @@ def _orbit_bounds(checks: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     # profile[x]: bit y - 1 for each y != 0 with x ^ y in N
     profile = {x: sum(1 << (x ^ q) - 1 for q in pts if q != x) for x in pts}
     inv = _point_invariants(pts, r, profile, mask)
-    for i in range(r):
+    gens: list[dict[int, int]] = []  # the automorphisms found
+    imgs = [0] * r
+    for i in reversed(range(r)):
         b = 1 << i
         fixed = (1 << b - 1) - 1  # the nonzero y in span(b_0..b_{i-1})
         pinned = tuple(1 << h for h in range(i))
+        orbit = _reach({b}, gens)
+        outside: set[int] = set()  # failed points and their images
         for x in pts:
-            if (x >> i and x != b and inv[x] == inv[b]
+            if x in orbit or x in outside:
+                continue
+            if (x >> i and inv[x] == inv[b]
                     and (profile[x] ^ profile[b]) & fixed == 0):
                 found = kernels._embeddings(pts, mask, checks, unbounded,
-                                            [0] * r, pinned + (x,))
-                if next(found, None) is not None:
-                    slots[x] |= 1 << i
+                                            imgs, pinned + (x,))
+                hit = next(found, None)
+                if hit is None:
+                    outside |= _reach({x}, gens)
+                    continue
+                last = hit[1]  # as in ``find_embedding``
+                imgs[-1] = (last & -last).bit_length() - 1
+                span = [0]  # span[c]: the sum of imgs[h] over the bits h of c
+                for v in imgs:
+                    span += [s ^ v for s in span]
+                gens.append({p: span[p] for p in pts})
+                orbit = _reach(orbit, gens)
+        for x in orbit:
+            if x != b:
+                slots[x] |= 1 << i
     return tuple(tuple(slots[c] for c in cs) for cs in checks)
+
+
+def _reach(points: set[int], gens: list[dict[int, int]]) -> set[int]:
+    """The points that the maps ``gens`` reach from ``points``."""
+    todo = list(points)
+    reached = set(points)
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = g[x]
+            if y not in reached:
+                reached.add(y)
+                todo.append(y)
+    return reached
 
 
 # the most copies ``ex`` or ``count_restrictions`` enumerates, checked
@@ -195,25 +245,47 @@ def contains(host: Matroid, pattern: Matroid) -> bool:
 def canonical_key(m: Matroid) -> CanonicalKey:
     """The key of m over its span (``recoordinatize``): its orbit-minimal
     characteristic bitstring under GL(rank, 2), whatever m's dimension."""
-    s = recoordinatize(m)
-    if s.dim > CANON_MAX_DIM:
-        raise CapacityError(f"canonizer limited to rank <= {CANON_MAX_DIM}")
+    s = _canon_span(m)
     mask = kernels.canon_mask(s.dim, s.mask)
     total = (1 << s.dim) - 1
     bits = "".join("1" if (mask >> i) & 1 else "0" for i in range(total))
     return CanonicalKey(s.dim, bits)
 
 
+def _canon_span(m: Matroid) -> Matroid:
+    """m over its span, within the canonizer's rank limit."""
+    s = recoordinatize(m)
+    if s.dim > CANON_MAX_DIM:
+        raise CapacityError(f"canonizer limited to rank <= {CANON_MAX_DIM}")
+    return s
+
+
+def _line_counts(s: Matroid) -> list[int]:
+    """For each point p of s, the number of points q of s with p ^ q in s
+    (twice the lines of s through p), sorted: an invertible map keeps the
+    list.  Bit x of ``pm`` is vector x, so the q are the bits of pm that
+    stay set when pm is translated by p."""
+    pm = s.mask << 1
+    lows = kernels._lows(s.dim)
+    return sorted((pm & kernels._translate(pm, p, lows)).bit_count()
+                  for p in s.points)
+
+
 def isomorphic(a: Matroid, b: Matroid) -> bool:
     """True iff equal dimension and equal keys: in one dimension, two sets
-    are equivalent exactly when their spans are."""
+    are equivalent exactly when their spans are.  Sets of equal size and
+    rank are first compared by their line counts, which refute most
+    non-isomorphic pairs without a key."""
     if a.dim != b.dim:
         return False
     if a.size != b.size or a.rank != b.rank:
         return False
     if a.points == b.points:
         return True
-    return canonical_key(a) == canonical_key(b)
+    sa, sb = _canon_span(a), _canon_span(b)
+    if _line_counts(sa) != _line_counts(sb):
+        return False
+    return canonical_key(sa) == canonical_key(sb)
 
 
 def count_restrictions(host: Matroid, pattern: Matroid) -> int:

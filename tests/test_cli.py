@@ -501,13 +501,6 @@ def test_a_cache_dir_that_is_not_a_directory_exits_2(capsys, monkeypatch,
     assert "checked 1" in capsys.readouterr().out
 
 
-def test_verify_aes_suite(capsys):
-    code, out = invoke(capsys, "verify", "aes", "--format", "json")
-    assert code == 0
-    d = json.loads(out)
-    assert d["pass"] is True and len(d["rows"]) == 2
-
-
 # the rows of each suite at its default options
 SUITE_ROWS = {"bose-burton": 9, "octahedron": 4, "cliques": 8,
               "critical-edge": 5, "aes": 2, "chi-log-formula": 1}

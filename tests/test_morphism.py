@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bmx import kernels, morphism
 from bmx.errors import CapacityError
+from bmx.gf2core import bitset_of
 from bmx.graphs import SimpleGraph
 from bmx.matroid import (
     Matroid,
@@ -108,6 +109,41 @@ def test_isomorphic_matches_naive_exhaustive_dim3():
     for _ in range(300):
         a, b = rng.choice(ms), rng.choice(ms)
         assert isomorphic(a, b) == naive_isomorphic(a, b)
+
+
+def test_isomorphic_matches_naive_on_equal_size_and_rank_dim4():
+    # half the pairs are GL images, the rest random sets of the same size
+    # and rank, which the line counts refute or the keys decide
+    rng = random.Random(71)
+    pairs = 0
+    with time_budget(30):
+        while pairs < 120:
+            size = rng.randint(2, 13)
+            a = Matroid(4, frozenset(rng.sample(range(1, 16), size)))
+            if pairs % 2 == 0:
+                table = random_gl(rng, 4)
+                b = Matroid(4, frozenset(table[p] for p in a.points))
+            else:
+                b = Matroid(4, frozenset(rng.sample(range(1, 16), size)))
+                if b.rank != a.rank:
+                    continue
+            assert isomorphic(a, b) == naive_isomorphic(a, b), (a, b)
+            pairs += 1
+
+
+def test_unequal_line_counts_refute_without_a_key(monkeypatch):
+    # two 4-point sets of rank 3 declared in dimension 12: a line and a
+    # point, and a 4-circuit, which holds no line
+    def no_key(*_args):
+        raise AssertionError("a key was computed")
+
+    monkeypatch.setattr(kernels, "canon_mask", no_key)
+    a, b, c = 1 << 11, 1 << 10, 1 << 9
+    with_line = Matroid(12, frozenset({a, b, a ^ b, c}))
+    c4 = Matroid(12, frozenset({a, b, c, a ^ b ^ c}))
+    assert with_line.rank == c4.rank == 3
+    assert not isomorphic(with_line, c4)
+    assert not isomorphic(c4, with_line)
 
 
 def test_canonical_key_partitions_dim3_like_isomorphism():
@@ -371,6 +407,71 @@ def test_orbit_bounds_are_the_basic_orbits_of_aut():
                                 for g in auts):
                             want |= 1 << i
                     assert bound == want, (pattern, x)
+
+
+def _orbit_bounds_by_search(checks):
+    """The per-candidate search that ``morphism._orbit_bounds`` replaced:
+    one pinned existence search for every point that passes the two
+    filters, slot by slot, with no automorphism kept."""
+    pts = sorted(c for cs in checks for c in cs)
+    mask = bitset_of(pts)
+    r = len(checks)
+    unbounded = [(0,) * len(cs) for cs in checks]
+    slots = dict.fromkeys(pts, 0)
+    profile = {x: sum(1 << (x ^ q) - 1 for q in pts if q != x) for x in pts}
+    inv = morphism._point_invariants(pts, r, profile, mask)
+    for i in range(r):
+        b = 1 << i
+        fixed = (1 << b - 1) - 1
+        pinned = tuple(1 << h for h in range(i))
+        for x in pts:
+            if (x >> i and x != b and inv[x] == inv[b]
+                    and (profile[x] ^ profile[b]) & fixed == 0):
+                found = kernels._embeddings(pts, mask, checks, unbounded,
+                                            [0] * r, pinned + (x,))
+                if next(found, None) is not None:
+                    slots[x] |= 1 << i
+    return tuple(tuple(slots[c] for c in cs) for cs in checks)
+
+
+def test_orbit_bounds_match_the_per_candidate_search():
+    # the automorphisms kept from earlier searches change which searches
+    # run, never a bound
+    rng = random.Random(70)
+    # PG(t-1,2) for t <= 5 (the triangle and Fano among them), the
+    # benchmark's other patterns C4, M(K4) and I4, and C5 and I3
+    patterns = [pg(t) for t in range(1, 6)]
+    patterns += [circuit(4), circuit(5), _mk4(), free(3), free(4)]
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        size = rng.randint(1, (1 << n) - 1)
+        patterns.append(Matroid(n, frozenset(rng.sample(range(1, 1 << n),
+                                                        size))))
+    with time_budget(30):
+        for pattern in patterns:
+            checks = _schedule(pattern.mask).checks
+            assert (morphism._orbit_bounds(checks)
+                    == _orbit_bounds_by_search(checks)), pattern
+
+
+def test_pg3_runs_fewer_searches_than_it_has_candidates(monkeypatch):
+    # PG(3,2) is transitive, so every point outside span(b_0..b_{i-1})
+    # other than b_i passes both filters: 14 + 13 + 11 + 7 candidates
+    checks = _schedule(pg(4).mask).checks
+    calls = []
+    embeddings = kernels._embeddings
+
+    def counted(*args):
+        calls.append(args)
+        return embeddings(*args)
+
+    monkeypatch.setattr(kernels, "_embeddings", counted)
+    want = _orbit_bounds_by_search(checks)
+    by_search = len(calls)
+    assert by_search == sum(15 - (1 << i) for i in range(4))
+    del calls[:]
+    assert morphism._orbit_bounds(checks) == want
+    assert 0 < len(calls) < by_search
 
 
 def test_each_copy_is_enumerated_once():
